@@ -1,8 +1,12 @@
-// Package adapter bridges the simulated VH/VE memory systems to the
-// runtime's LocalMemory interface; both SX-Aurora backends share these.
+// Package adapter bridges node memories to the runtime's LocalMemory
+// interface: the simulated VH and VE memory systems the SX-Aurora backends
+// share, and a locked heap for the backends that touch one heap from
+// several goroutines.
 package adapter
 
 import (
+	"sync"
+
 	"hamoffload/internal/core"
 	"hamoffload/internal/hostmem"
 	"hamoffload/internal/mem"
@@ -53,7 +57,44 @@ func (m *VEHeap) Write(addr uint64, data []byte) error {
 	return m.VE.HBM.WriteAt(data, mem.Addr(addr))
 }
 
+// LockedHeap makes a core.Heap safe for concurrent access, such as the
+// loopback backend's host/target wiring or a TCP target's put/get and
+// dispatch paths.
+type LockedHeap struct {
+	mu sync.Mutex
+	H  *core.Heap
+}
+
+// Alloc implements core.LocalMemory.
+func (l *LockedHeap) Alloc(n int64) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.H.Alloc(n)
+}
+
+// Free implements core.LocalMemory.
+func (l *LockedHeap) Free(addr uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.H.Free(addr)
+}
+
+// Read implements core.LocalMemory.
+func (l *LockedHeap) Read(addr uint64, p []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.H.Read(addr, p)
+}
+
+// Write implements core.LocalMemory.
+func (l *LockedHeap) Write(addr uint64, data []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.H.Write(addr, data)
+}
+
 var (
 	_ core.LocalMemory = (*HostHeap)(nil)
 	_ core.LocalMemory = (*VEHeap)(nil)
+	_ core.LocalMemory = (*LockedHeap)(nil)
 )

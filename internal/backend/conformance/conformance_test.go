@@ -771,6 +771,56 @@ func TestFaultsConformanceSimulated(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		t.Run(name+"/dead-node", func(t *testing.T) { exerciseDeadNode(t, tc.connect) })
+	}
+}
+
+// exerciseDeadNode pins the slot ring's dead-node rule: right after the
+// card's VE process is killed, before any other offload could notice, each
+// of Put, Get, Call and Poll on an in-flight handle fails with
+// core.ErrNodeFailed on its own. Every operation gets a fresh machine so no
+// earlier failure has already marked the node dead.
+func exerciseDeadNode(t *testing.T, connect func(*machine.Proc, *machine.Machine) (*offload.Runtime, error)) {
+	for _, op := range []string{"put", "get", "call", "poll"} {
+		m, err := machine.New(machine.Config{VEs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.RunMain(func(p *machine.Proc) error {
+			rt, err := connect(p, m)
+			if err != nil {
+				return err
+			}
+			defer func() { _ = rt.Finalize() }()
+			buf, err := core.Allocate[byte](rt, 1, 64)
+			if err != nil {
+				return err
+			}
+			b := rt.Backend()
+			hd, err := b.Call(1, []byte{0, 0, 0, 0})
+			if err != nil {
+				return err
+			}
+			m.Cards[0].Kill()
+			data := make([]byte, 64)
+			switch op {
+			case "put":
+				err = b.Put(1, data, buf.Addr)
+			case "get":
+				err = b.Get(1, buf.Addr, data)
+			case "call":
+				_, err = b.Call(1, []byte{0, 0, 0, 0})
+			case "poll":
+				_, _, err = b.Poll(hd)
+			}
+			if !errors.Is(err, core.ErrNodeFailed) {
+				t.Errorf("%s on a killed node = %v (want ErrNodeFailed)", op, err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

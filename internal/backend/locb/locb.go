@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 
+	"hamoffload/internal/backend/adapter"
 	"hamoffload/internal/core"
 	"hamoffload/internal/faults"
 	"hamoffload/internal/trace"
@@ -67,42 +68,11 @@ func (lf *life) revive(n core.NodeID) {
 	}
 }
 
-// lockedHeap makes a core.Heap safe for the concurrent host/target access
-// the loopback wiring allows.
-type lockedHeap struct {
-	mu sync.Mutex
-	h  *core.Heap
-}
-
-func (l *lockedHeap) Alloc(n int64) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Alloc(n)
-}
-
-func (l *lockedHeap) Free(addr uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Free(addr)
-}
-
-func (l *lockedHeap) Read(addr uint64, p []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Read(addr, p)
-}
-
-func (l *lockedHeap) Write(addr uint64, data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Write(addr, data)
-}
-
 // Node is one side of a loopback application.
 type Node struct {
 	self  core.NodeID
 	descs []core.NodeDescriptor
-	heaps []*lockedHeap
+	heaps []*adapter.LockedHeap
 	chans []chan request // chans[n] is the inbox of node n
 	life  *life
 	inj   *faults.Injector
@@ -181,7 +151,7 @@ func NewN(n int, heapSize int64) ([]*Node, error) {
 
 func newN(n int, heapSize int64) (*Node, *Node, error) {
 	descs := make([]core.NodeDescriptor, n)
-	heaps := make([]*lockedHeap, n)
+	heaps := make([]*adapter.LockedHeap, n)
 	chans := make([]chan request, n)
 	for i := 0; i < n; i++ {
 		role, arch := "target", "loopback-target"
@@ -197,7 +167,7 @@ func newN(n int, heapSize int64) (*Node, *Node, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		heaps[i] = &lockedHeap{h: h}
+		heaps[i] = &adapter.LockedHeap{H: h}
 		chans[i] = make(chan request, 64)
 	}
 	lf := newLife(n)

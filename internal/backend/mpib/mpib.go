@@ -19,6 +19,7 @@ import (
 
 	"hamoffload/internal/backend/adapter"
 	"hamoffload/internal/backend/dmab"
+	"hamoffload/internal/backend/slots"
 	"hamoffload/internal/core"
 	"hamoffload/internal/ib"
 	"hamoffload/internal/simtime"
@@ -125,7 +126,7 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 	for i, card := range cards[0] {
 		h.descs = append(h.descs, core.NodeDescriptor{
 			Name:   fmt.Sprintf("m0-ve%d", card.ID),
-			Arch:   localArch(opts),
+			Arch:   slots.VEArch,
 			Device: fmt.Sprintf("NEC VE Type 10B (machine 0, VE %d)", i),
 		})
 	}
@@ -166,19 +167,12 @@ func Connect(p *simtime.Proc, eng *simtime.Engine, fabric *ib.Fabric,
 		for i, card := range mcards {
 			h.descs = append(h.descs, core.NodeDescriptor{
 				Name:   fmt.Sprintf("m%d-ve%d", m, card.ID),
-				Arch:   localArch(opts),
+				Arch:   slots.VEArch,
 				Device: fmt.Sprintf("NEC VE Type 10B (machine %d, VE %d)", m, i),
 			})
 		}
 	}
 	return h, nil
-}
-
-func localArch(opts Options) string {
-	if opts.Local.TargetArch != "" {
-		return opts.Local.TargetArch
-	}
-	return "aurora-ve"
 }
 
 // route returns the machine hosting a global node id. Node ids are global

@@ -1,6 +1,14 @@
-// Package slots provides the notification-flag encoding shared by the two
-// SX-Aurora protocols. Each message buffer has an adjacent 64-bit flag; a
-// flag value packs a per-slot sequence number with the message length, so
+// Package slots is the slot-ring protocol shared by the two SX-Aurora
+// protocols (Fig. 5 VEO, Fig. 8 DMA): a one-sided ring of message slots per
+// VE, each published by an adjacent 64-bit notification flag. The protocols
+// differ only in where the buffers live and which engine moves the bytes,
+// so the ring itself lives here — the host side (Host: slot cursor,
+// sequence numbers, drain-on-reuse, Wait/Poll with OffloadTimeout, the
+// dead-node rule, Put/Get over VEO, recovery) and the VE side (Target: the
+// serve loop with poll backoff and bounded result-push retry). Each
+// protocol plugs in a Link (host) and an Endpoint (VE) that move the bytes.
+//
+// A flag value packs a per-slot sequence number with the message length, so
 // neither side ever needs to reset a flag it cannot write cheaply — the
 // reader simply waits for the sequence number it expects (the paper's
 // "invalid value to an index" transition, §III-D, hardened for slot reuse).

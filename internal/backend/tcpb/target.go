@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 
+	"hamoffload/internal/backend/adapter"
 	"hamoffload/internal/core"
 	"hamoffload/internal/trace"
 )
@@ -18,7 +19,7 @@ type Target struct {
 	ln    net.Listener
 	self  core.NodeID
 	total int
-	heap  *lockedHeap
+	heap  *adapter.LockedHeap
 	nt    *trace.NodeTracer
 
 	mu   sync.Mutex
@@ -29,36 +30,6 @@ type Target struct {
 // Call it before Serve.
 func (t *Target) SetTracer(tr *trace.Tracer, clock trace.Clock) {
 	t.nt = tr.Node(int(t.self), "tcpb", clock)
-}
-
-// lockedHeap guards the heap against concurrent put/get and dispatch access.
-type lockedHeap struct {
-	mu sync.Mutex
-	h  *core.Heap
-}
-
-func (l *lockedHeap) Alloc(n int64) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Alloc(n)
-}
-
-func (l *lockedHeap) Free(addr uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Free(addr)
-}
-
-func (l *lockedHeap) Read(addr uint64, p []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Read(addr, p)
-}
-
-func (l *lockedHeap) Write(addr uint64, data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Write(addr, data)
 }
 
 // Listen starts a target on addr (e.g. "127.0.0.1:0"). self is this node's
@@ -76,7 +47,7 @@ func Listen(addr string, self, total int, heapBytes int64) (*Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Target{ln: ln, self: core.NodeID(self), total: total, heap: &lockedHeap{h: heap}}, nil
+	return &Target{ln: ln, self: core.NodeID(self), total: total, heap: &adapter.LockedHeap{H: heap}}, nil
 }
 
 // Addr returns the listening address, for handing to Dial.

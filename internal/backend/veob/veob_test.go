@@ -1,12 +1,14 @@
 package veob_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"hamoffload/internal/backend/veob"
 	"hamoffload/internal/core"
 	"hamoffload/internal/dma"
+	"hamoffload/internal/faults"
 	"hamoffload/internal/hostmem"
 	"hamoffload/internal/pcie"
 	"hamoffload/internal/simtime"
@@ -40,10 +42,13 @@ type rig struct {
 	card *veos.Card
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T, plan *faults.Plan) *rig {
 	t.Helper()
 	eng := simtime.NewEngine()
 	tm := topology.DefaultTiming()
+	if plan != nil {
+		tm.Faults = faults.New(plan)
+	}
 	host, err := hostmem.New("vh", 2*units.GiB, tm.HostPageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +93,7 @@ func (r *rig) run(t *testing.T, fn func(p *simtime.Proc, rt *core.Runtime)) {
 func TestSlotWraparound(t *testing.T) {
 	// Far more offloads than slots: sequence numbers must keep messages and
 	// results correctly paired across many slot reuses.
-	r := newRig(t)
+	r := newRig(t, nil)
 	r.run(t, func(p *simtime.Proc, rt *core.Runtime) {
 		for i := int64(0); i < 50; i++ {
 			v, err := core.Sync(rt, 1, vbEcho.Bind(i))
@@ -105,7 +110,7 @@ func TestSlotWraparound(t *testing.T) {
 func TestDeepAsyncPipeline(t *testing.T) {
 	// More outstanding offloads than slots: Call must transparently drain
 	// the oldest handle of a reused slot, and out-of-order Gets must work.
-	r := newRig(t)
+	r := newRig(t, nil)
 	r.run(t, func(p *simtime.Proc, rt *core.Runtime) {
 		const depth = 20 // > 8 slots
 		futs := make([]*core.Future[int64], depth)
@@ -127,7 +132,7 @@ func TestDeepAsyncPipeline(t *testing.T) {
 
 func TestLargeResultOverflowPath(t *testing.T) {
 	// 300 float64 = 2400 B: beyond the 248 B inline area, within bufSize.
-	r := newRig(t)
+	r := newRig(t, nil)
 	r.run(t, func(p *simtime.Proc, rt *core.Runtime) {
 		out, err := core.Sync(rt, 1, vbBig.Bind(int64(300)))
 		if err != nil {
@@ -142,7 +147,7 @@ func TestLargeResultOverflowPath(t *testing.T) {
 func TestOversizedResultFailsGracefully(t *testing.T) {
 	// A result bigger than inline+bufSize cannot be returned; the offload
 	// must fail with a protocol error, not corrupt the channel.
-	r := newRig(t)
+	r := newRig(t, nil)
 	r.run(t, func(p *simtime.Proc, rt *core.Runtime) {
 		_, err := core.Sync(rt, 1, vbBig.Bind(int64(10000))) // 80 KB
 		if err == nil || !strings.Contains(err.Error(), "exceeds the send buffer") {
@@ -156,7 +161,7 @@ func TestOversizedResultFailsGracefully(t *testing.T) {
 }
 
 func TestOversizedMessageRejected(t *testing.T) {
-	r := newRig(t)
+	r := newRig(t, nil)
 	r.run(t, func(p *simtime.Proc, rt *core.Runtime) {
 		big := strings.Repeat("x", 8000) // message > 4 KiB buffer
 		_, err := core.Sync(rt, 1, vbWide.Bind(big))
@@ -176,7 +181,7 @@ func TestTargetCannotInitiate(t *testing.T) {
 			}
 			return err.Error(), nil
 		})
-	r := newRig(t)
+	r := newRig(t, nil)
 	r.run(t, func(p *simtime.Proc, rt *core.Runtime) {
 		msg, err := core.Sync(rt, 1, probe.Bind())
 		if err != nil {
@@ -201,7 +206,7 @@ func TestConnectValidation(t *testing.T) {
 }
 
 func TestHostBackendSurface(t *testing.T) {
-	r := newRig(t)
+	r := newRig(t, nil)
 	r.run(t, func(p *simtime.Proc, rt *core.Runtime) {
 		b := rt.Backend()
 		if b.Self() != 0 || b.NumNodes() != 2 {
@@ -226,4 +231,44 @@ func TestHostBackendSurface(t *testing.T) {
 			t.Error("foreign handle accepted by Poll")
 		}
 	})
+}
+
+func TestWaitTimesOutThroughPollFaults(t *testing.T) {
+	// Every poll read after the Call fails transiently, for far longer than
+	// the timeout. The ring absorbs each fault as a miss, but must still
+	// check OffloadTimeout after it: Wait gives up at 1 ms instead of
+	// returning the result once the fault window closes.
+	r := newRig(t, &faults.Plan{Rules: []faults.Rule{
+		// Ops 0 and 1 are the Call's message and flag writes.
+		{Kind: faults.DMAError, Site: faults.SitePrivDMA, Node: 0, AfterOp: 2, Count: 5000},
+	}})
+	inj := r.card.Timing.Faults
+	r.eng.Spawn("vh-main", func(p *simtime.Proc) {
+		defer r.eng.Stop()
+		h, err := veob.Connect(p, []*veos.Card{r.card}, veob.Options{OffloadTimeout: simtime.Millisecond})
+		if err != nil {
+			t.Errorf("Connect: %v", err)
+			return
+		}
+		defer func() { _ = h.Close() }()
+		hd, err := h.Call(1, []byte{0, 0, 0, 0})
+		if err != nil {
+			t.Errorf("Call: %v", err)
+			return
+		}
+		start := p.Now()
+		if _, err := h.Wait(hd); !errors.Is(err, core.ErrOffloadTimeout) {
+			t.Errorf("Wait through poll faults = %v (want ErrOffloadTimeout)", err)
+		}
+		if took := p.Now().Sub(start); took < simtime.Millisecond || took > 2*simtime.Millisecond {
+			t.Errorf("Wait gave up after %v (want just past 1ms)", took)
+		}
+		if inj.Injected() < 10 {
+			t.Errorf("only %d poll faults injected", inj.Injected())
+		}
+	})
+	if err := r.eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	r.eng.Shutdown()
 }
