@@ -71,7 +71,7 @@ func runTarget(addr string) {
 		log.Fatal(err)
 	}
 	fmt.Println("target: serving HAM-Offload on", t.Addr())
-	rt := offload.NewRuntime(t, "tcp-target-arch")
+	rt := offload.NewTarget(t, "tcp-target-arch")
 	if err := rt.Serve(); err != nil {
 		log.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func main() {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			rt := offload.NewRuntime(t, "tcp-target-arch")
+			rt := offload.NewTarget(t, "tcp-target-arch")
 			if err := rt.Serve(); err != nil {
 				log.Fatal(err)
 			}

@@ -2,7 +2,7 @@
 // reports escapes from their validity window.
 //
 // The zero-copy wire path of this repository rests on ownership contracts
-// that are stated in doc comments: Backend.Call may read msg only for the
+// that are stated in doc comments: Initiator.Call may read msg only for the
 // duration of the call, Dispatch responses alias scratch and are valid only
 // until the next Dispatch, codec Reset re-targets a decoder at a caller's
 // buffer. borrowck mechanises those contracts. A parameter named in a
@@ -17,9 +17,9 @@
 // of ownership — passing a borrowed buffer there is a diagnostic, passing
 // owned memory is the sanctioned hand-off.
 //
-// Annotations on interface methods (Backend.Call, Server.Dispatch) propagate
-// to every implementation by parameter index through the CHA table, so a new
-// backend inherits the contract without writing anything. Functions without
+// Annotations on interface methods (Initiator.Call, Server.Dispatch)
+// propagate to every implementation by parameter index through the CHA
+// table, so a new backend inherits the contract without writing anything. Functions without
 // annotations are summarised: if stash(b) stores b into a global, a caller
 // passing a borrowed buffer to stash gets the diagnostic at its own call
 // site, with the full hop chain to the deep store.
@@ -213,7 +213,7 @@ func (c *checker) collectInterface(pkg *analysis.Package, ts *ast.TypeSpec) {
 			continue
 		}
 		c.anns[mfn.FullName()] = mergeAnn(c.anns[mfn.FullName()], ann)
-		for _, impl := range c.impls.Methods(iface, mfn) {
+		for _, impl := range c.impls.MethodsByPath(iface, mfn) {
 			n := impl.Origin().FullName()
 			c.anns[n] = mergeAnn(c.anns[n], ann)
 		}
@@ -782,7 +782,7 @@ func (ng *engine) call(st state, call *ast.CallExpr) uint64 {
 			if fn, ok := sel.Obj().(*types.Func); ok {
 				callees = append(callees, fn)
 				if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
-					callees = append(callees, ng.c.impls.Methods(iface, fn)...)
+					callees = append(callees, ng.c.impls.MethodsByPath(iface, fn)...)
 				}
 			}
 		} else if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {

@@ -24,6 +24,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"hamoffload/internal/analysis"
 )
@@ -274,6 +275,65 @@ func (t *implTable) Methods(iface *types.Interface, m *types.Func) []*types.Func
 	return t.methods(iface, m)
 }
 
+// MethodsByPath is Methods with types matched to iface by method names and
+// by signatures compared through package paths rather than by object
+// identity. An interface and its implementation in different packages see
+// the types of their signatures as distinct objects (one side type-checked
+// from source, the other imported from export data), so Methods finds only
+// implementations declared next to the interface; MethodsByPath finds them
+// module-wide.
+func (t *implTable) MethodsByPath(iface *types.Interface, m *types.Func) []*types.Func {
+	key := implKey{iface, m.Name(), true}
+	if got, ok := t.cache[key]; ok {
+		return got
+	}
+	var out []*types.Func
+	for _, named := range t.named {
+		if fn := implByPath(types.NewPointer(named), iface, m.Name()); fn != nil {
+			out = append(out, fn)
+		}
+	}
+	t.cache[key] = out
+	return out
+}
+
+// implByPath returns T's method named name when T's method set covers
+// iface by names and path-qualified signatures, nil otherwise.
+func implByPath(T types.Type, iface *types.Interface, name string) *types.Func {
+	var found *types.Func
+	for i := 0; i < iface.NumMethods(); i++ {
+		im := iface.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(T, true, im.Pkg(), im.Name())
+		fn, ok := obj.(*types.Func)
+		if !ok || sigByPath(fn.Type().(*types.Signature)) != sigByPath(im.Type().(*types.Signature)) {
+			return nil
+		}
+		if im.Name() == name {
+			found = fn
+		}
+	}
+	return found
+}
+
+// sigByPath renders a signature's parameter and result types, qualified by
+// package path, without parameter names.
+func sigByPath(sig *types.Signature) string {
+	byPath := func(p *types.Package) string { return p.Path() }
+	var b strings.Builder
+	for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteByte('(')
+		for i := 0; i < tup.Len(); i++ {
+			b.WriteString(types.TypeString(tup.At(i).Type(), byPath))
+			b.WriteByte(',')
+		}
+		b.WriteByte(')')
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
+}
+
 // implTable answers "which named types implement this interface?" queries
 // over the loaded packages, caching per (interface, method name).
 type implTable struct {
@@ -284,6 +344,7 @@ type implTable struct {
 type implKey struct {
 	iface  *types.Interface
 	method string
+	byPath bool
 }
 
 // implementers collects every non-interface named type declared in pkgs.
@@ -312,7 +373,7 @@ func implementers(pkgs []*analysis.Package) *implTable {
 // methods returns, for every collected type implementing iface (by value or
 // by pointer receiver), its method corresponding to the interface method m.
 func (t *implTable) methods(iface *types.Interface, m *types.Func) []*types.Func {
-	key := implKey{iface, m.Name()}
+	key := implKey{iface, m.Name(), false}
 	if got, ok := t.cache[key]; ok {
 		return got
 	}

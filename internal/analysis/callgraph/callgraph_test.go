@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 
@@ -15,13 +16,24 @@ import (
 // analysis.Package so Build can consume it.
 func load(t *testing.T, path, src string) *analysis.Package {
 	t.Helper()
+	return loadWith(t, path, src, nil)
+}
+
+// importerFunc resolves imports for loadWith.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// loadWith is load with imports resolved through imp.
+func loadWith(t *testing.T, path, src string, imp types.Importer) *analysis.Package {
+	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, path+"/a.go", src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	files := []*ast.File{file}
-	pkg, info, err := analysis.Typecheck(fset, path, files, nil)
+	pkg, info, err := analysis.Typecheck(fset, path, files, imp)
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
@@ -144,5 +156,35 @@ func TestFuncsSorted(t *testing.T) {
 		if funcs[i-1].Name >= funcs[i].Name {
 			t.Fatalf("Funcs() not strictly sorted: %q before %q", funcs[i-1].Name, funcs[i].Name)
 		}
+	}
+}
+
+// TestMethodsByPathAcrossPackages pins interface resolution across the
+// loader's split views: the implementing package sees the interface's
+// package through a second, separately type-checked copy (as export data
+// gives it), so the two hold distinct objects for the same named types.
+func TestMethodsByPathAcrossPackages(t *testing.T) {
+	const apiSrc = `package api
+type ID int
+type Doer interface{ Do(id ID, msg []byte) error }
+`
+	const implSrc = `package impl
+import "api"
+type T struct{}
+func (*T) Do(api.ID, []byte) error { return nil }
+type Wrong struct{}
+func (Wrong) Do(int, []byte) error { return nil }
+`
+	api := load(t, "api", apiSrc)
+	view := load(t, "api", apiSrc).Types
+	impl := loadWith(t, "impl", implSrc, importerFunc(func(string) (*types.Package, error) { return view, nil }))
+	iface := api.Types.Scope().Lookup("Doer").Type().Underlying().(*types.Interface)
+	got := callgraph.NewImplTable([]*analysis.Package{api, impl}).MethodsByPath(iface, iface.Method(0))
+	if len(got) != 1 || got[0].FullName() != "(*impl.T).Do" {
+		var names []string
+		for _, fn := range got {
+			names = append(names, fn.FullName())
+		}
+		t.Errorf("MethodsByPath(Doer.Do) = %v, want [(*impl.T).Do]", names)
 	}
 }

@@ -193,7 +193,7 @@ func Exercise(t Reporter, rt *core.Runtime, target core.NodeID) {
 
 // ExerciseAliasing is the runtime counterpart of the borrowck analyzer: it
 // drives the zero-copy aliasing contracts the //ham:borrowed annotations on
-// Backend.Call and Server.Dispatch declare. Call receives a message it may
+// Initiator.Call and Server.Dispatch declare. Call receives a message it may
 // only read for the duration of the call, so the exercise clobbers the wire
 // bytes the moment Call returns — a backend that retained the buffer (handed
 // it to a goroutine, deferred the transfer) would see the corruption and

@@ -22,7 +22,7 @@ func TestLoopbackConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "conf-loc-target")
+	target := core.NewTarget(tb, "conf-loc-target")
 	host := core.NewRuntime(hb, "conf-loc-host")
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -45,7 +45,7 @@ func TestTCPConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
+	targetRT := core.NewTarget(tgt, "conf-tcp-target")
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -128,7 +128,7 @@ func TestAliasingConformanceLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "conf-loc-target")
+	target := core.NewTarget(tb, "conf-loc-target")
 	host := core.NewRuntime(hb, "conf-loc-host")
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -152,7 +152,7 @@ func TestAliasingConformanceTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
+	targetRT := core.NewTarget(tgt, "conf-tcp-target")
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -236,7 +236,7 @@ func TestBatchConformanceLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "conf-loc-target")
+	target := core.NewTarget(tb, "conf-loc-target")
 	host := core.NewRuntime(hb, "conf-loc-host")
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -259,7 +259,7 @@ func TestBatchConformanceTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
+	targetRT := core.NewTarget(tgt, "conf-tcp-target")
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -348,7 +348,7 @@ func TestBatchRetryConformanceLoopback(t *testing.T) {
 		{Kind: faults.DMAError, Site: faults.SiteConn, Node: 1, AfterOp: 2, Every: 3, Count: 4},
 	}})
 	hb.SetFaultInjector(inj)
-	target := core.NewRuntime(tb, "conf-loc-target")
+	target := core.NewTarget(tb, "conf-loc-target")
 	host := core.NewRuntime(hb, "conf-loc-host")
 	host.SetFaultTolerance(ftPolicy())
 	var wg sync.WaitGroup
@@ -405,7 +405,7 @@ func TestBackpressureConformanceLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "conf-bp-loc-target")
+	target := core.NewTarget(tb, "conf-bp-loc-target")
 	host := core.NewRuntime(hb, "conf-bp-loc-host")
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -429,7 +429,7 @@ func TestBackpressureConformanceTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetRT := core.NewRuntime(tgt, "conf-bp-tcp-target")
+	targetRT := core.NewTarget(tgt, "conf-bp-tcp-target")
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -514,7 +514,7 @@ func TestErrorsConformanceLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "conf-loc-target")
+	target := core.NewTarget(tb, "conf-loc-target")
 	host := core.NewRuntime(hb, "conf-loc-host")
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -537,7 +537,7 @@ func TestErrorsConformanceTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
+	targetRT := core.NewTarget(tgt, "conf-tcp-target")
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -633,7 +633,7 @@ func TestFaultsConformanceLoopback(t *testing.T) {
 		{Kind: faults.DMAError, Site: faults.SiteConn, Node: 1, AfterOp: 2, Every: 3, Count: 4},
 	}})
 	hb.SetFaultInjector(inj)
-	target := core.NewRuntime(tb, "conf-loc-target")
+	target := core.NewTarget(tb, "conf-loc-target")
 	host := core.NewRuntime(hb, "conf-loc-host")
 	host.SetFaultTolerance(ftPolicy())
 
@@ -687,7 +687,7 @@ func TestFaultsConformanceTCP(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = core.NewRuntime(tgt, "conf-tcp-target").Serve() // dies with the dropped conn
+		_ = core.NewTarget(tgt, "conf-tcp-target").Serve() // dies with the dropped conn
 	}()
 	hb, err := tcpb.Dial([]string{tgt.Addr()}, 1<<20)
 	if err != nil {
@@ -882,7 +882,7 @@ func TestTraceConformanceLoopback(t *testing.T) {
 	clock := trace.NewWallClock()
 	hb.SetTracer(tr, clock)
 	tb.SetTracer(tr, clock)
-	target := core.NewRuntime(tb, "conf-loc-target")
+	target := core.NewTarget(tb, "conf-loc-target")
 	target.SetTracer(tr.Node(1, "locb", clock))
 	host := core.NewRuntime(hb, "conf-loc-host")
 	host.SetTracer(tr.Node(0, "locb", clock))
@@ -911,7 +911,7 @@ func TestTraceConformanceTCP(t *testing.T) {
 	tr := trace.NewTracer()
 	clock := trace.NewWallClock()
 	tgt.SetTracer(tr, clock)
-	targetRT := core.NewRuntime(tgt, "conf-tcp-target")
+	targetRT := core.NewTarget(tgt, "conf-tcp-target")
 	targetRT.SetTracer(tr.Node(1, "tcpb", clock))
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -998,7 +998,7 @@ func TestHedgingConformanceLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "conf-hedge-loc-target")
+	target := core.NewTarget(tb, "conf-hedge-loc-target")
 	host := core.NewRuntime(hb, "conf-hedge-loc-host")
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -1022,7 +1022,7 @@ func TestHedgingConformanceTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetRT := core.NewRuntime(tgt, "conf-hedge-tcp-target")
+	targetRT := core.NewTarget(tgt, "conf-hedge-tcp-target")
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -1106,7 +1106,7 @@ func TestGrayFailureConformanceLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "conf-gray-loc-target")
+	target := core.NewTarget(tb, "conf-gray-loc-target")
 	host := core.NewRuntime(hb, "conf-gray-loc-host")
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -1134,8 +1134,8 @@ func TestGrayFailureConformanceTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt1 := core.NewRuntime(tgt1, "conf-gray-tcp-t1")
-	rt2 := core.NewRuntime(tgt2, "conf-gray-tcp-t2")
+	rt1 := core.NewTarget(tgt1, "conf-gray-tcp-t1")
+	rt2 := core.NewTarget(tgt2, "conf-gray-tcp-t2")
 	var wg sync.WaitGroup
 	for _, trt := range []*core.Runtime{rt1, rt2} {
 		wg.Add(1)

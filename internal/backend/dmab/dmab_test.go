@@ -179,7 +179,7 @@ func TestDMABOffloadFasterThanVEOB(t *testing.T) {
 		r := newRig(t)
 		var took simtime.Duration
 		r.eng.Spawn("vh-main", func(p *simtime.Proc) {
-			var b core.Backend
+			var b *dmab.Host
 			var err error
 			if useDMA {
 				b, err = dmab.Connect(p, []*veos.Card{r.card}, dmab.Options{})
@@ -243,5 +243,24 @@ func TestConnectValidation(t *testing.T) {
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTargetStateReleased pins that a VE process's target state lives only
+// while its ham_main runs: Finalize ends the serve loop and the entry goes,
+// so machines built one after another in a process do not accumulate.
+func TestTargetStateReleased(t *testing.T) {
+	before := dmab.LiveTargets()
+	r := newRig(t)
+	r.run(t, dmab.Options{}, func(p *simtime.Proc, rt *core.Runtime) {
+		if _, err := core.Sync(rt, 1, dbEcho.Bind(1)); err != nil {
+			t.Fatal(err)
+		}
+		if n := dmab.LiveTargets(); n != before+1 {
+			t.Errorf("serving: %d target states, want %d", n, before+1)
+		}
+	})
+	if n := dmab.LiveTargets(); n != before {
+		t.Errorf("after Finalize: %d target states, want %d", n, before)
 	}
 }

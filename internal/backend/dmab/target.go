@@ -29,7 +29,10 @@ type targetState struct {
 	stageVEHVA uint64 // DMAATB mapping of the staging buffer
 }
 
-var states = map[*veos.Card]*targetState{}
+// states holds the target state of each VE process from ham_dmab_init until
+// its ham_main returns. Keying by process keeps a dead process's exit from
+// touching the state of its recovered successor on the same card.
+var states = map[*veos.Process]*targetState{}
 
 func init() {
 	veos.RegisterLibrary(LibraryName, veos.Library{
@@ -73,15 +76,16 @@ func init() {
 			st.shmVEHVA = uint64(shmVEHVA)
 			st.stageAddr = uint64(stage)
 			st.stageVEHVA = uint64(stageVEHVA)
-			states[card] = st
+			states[ctx.Context.Process()] = st
 			return 0, nil
 		},
 		"ham_main": func(ctx *veos.Ctx, args []uint64) (uint64, error) {
-			card := ctx.Context.Process().Card()
-			st, ok := states[card]
+			proc := ctx.Context.Process()
+			st, ok := states[proc]
 			if !ok {
-				return 1, fmt.Errorf("dmab: ham_main before ham_dmab_init on VE %d", card.ID)
+				return 1, fmt.Errorf("dmab: ham_main before ham_dmab_init on VE %d", proc.Card().ID)
 			}
+			defer delete(states, proc)
 			st.kctx = ctx
 			return slots.Main(ctx, "dmab", st.selfNode, st.numNodes, st.lay.nbuf, st)
 		},

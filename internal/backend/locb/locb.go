@@ -2,7 +2,8 @@
 // target are goroutines in one OS process connected by channels, with a
 // plain heap as target memory. It exists to exercise the HAM-Offload
 // runtime, protocol bookkeeping and user code without the machine
-// simulation, and serves as the reference Backend implementation.
+// simulation, and serves as the reference implementation of both backend
+// roles, core.Initiator and core.Target.
 package locb
 
 import (
@@ -91,13 +92,13 @@ func (b *Node) SetFaultInjector(inj *faults.Injector) { b.inj = inj }
 // RecoverNode.
 func (b *Node) Kill(n core.NodeID) { b.life.kill(n) }
 
-// MaxMessageLen implements core.MessageSizer. The in-process channels have
+// MaxMessageLen implements core.Initiator. The in-process channels have
 // no framing limit of their own; the bound keeps batch frames within what
 // any slot-protocol backend could also carry, so applications tested on
 // loopback do not silently depend on unbounded messages.
 func (b *Node) MaxMessageLen() int { return 1 << 20 }
 
-// RecoverNode implements core.Recoverer: it revives a killed node and drains
+// RecoverNode implements core.Initiator: it revives a killed node and drains
 // stale requests from its inbox. The application must restart the node's
 // Serve loop afterwards (in-process, the "machine" is a goroutine).
 func (b *Node) RecoverNode(n core.NodeID) error {
@@ -177,13 +178,13 @@ func newN(n int, heapSize int64) (*Node, *Node, error) {
 	return mk(0), mk(1), nil
 }
 
-// Self implements core.Backend.
+// Self implements core.Node.
 func (b *Node) Self() core.NodeID { return b.self }
 
-// NumNodes implements core.Backend.
+// NumNodes implements core.Node.
 func (b *Node) NumNodes() int { return len(b.chans) }
 
-// Descriptor implements core.Backend.
+// Descriptor implements core.Node.
 func (b *Node) Descriptor(n core.NodeID) core.NodeDescriptor {
 	if int(n) < 0 || int(n) >= len(b.descs) {
 		return core.NodeDescriptor{Name: "invalid"}
@@ -198,7 +199,7 @@ type handle struct {
 	target core.NodeID
 }
 
-// Call implements core.Backend.
+// Call implements core.Initiator.
 func (b *Node) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	if int(target) < 0 || int(target) >= len(b.chans) {
 		return nil, fmt.Errorf("locb: no node %d", target)
@@ -219,7 +220,7 @@ func (b *Node) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	return &handle{resp: req.resp, target: target}, nil
 }
 
-// Wait implements core.Backend.
+// Wait implements core.Initiator.
 func (b *Node) Wait(h core.Handle) ([]byte, error) {
 	hd, ok := h.(*handle)
 	if !ok {
@@ -240,7 +241,7 @@ func (b *Node) Wait(h core.Handle) ([]byte, error) {
 	}
 }
 
-// Poll implements core.Backend.
+// Poll implements core.Initiator.
 func (b *Node) Poll(h core.Handle) ([]byte, bool, error) {
 	hd, ok := h.(*handle)
 	if !ok {
@@ -259,7 +260,7 @@ func (b *Node) Poll(h core.Handle) ([]byte, bool, error) {
 	}
 }
 
-// Put implements core.Backend by writing straight into the target heap.
+// Put implements core.Initiator by writing straight into the target heap.
 func (b *Node) Put(target core.NodeID, data []byte, dstAddr uint64) error {
 	if int(target) < 0 || int(target) >= len(b.heaps) {
 		return fmt.Errorf("locb: no node %d", target)
@@ -267,7 +268,7 @@ func (b *Node) Put(target core.NodeID, data []byte, dstAddr uint64) error {
 	return b.heaps[target].Write(dstAddr, data)
 }
 
-// Get implements core.Backend.
+// Get implements core.Initiator.
 func (b *Node) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	if int(target) < 0 || int(target) >= len(b.heaps) {
 		return fmt.Errorf("locb: no node %d", target)
@@ -275,7 +276,7 @@ func (b *Node) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	return b.heaps[target].Read(srcAddr, dst)
 }
 
-// Serve implements core.Backend: the target message loop. It returns with
+// Serve implements core.Target: the target message loop. It returns with
 // core.ErrNodeFailed when the node is killed.
 func (b *Node) Serve(s core.Server) error {
 	inbox := b.chans[b.self]
@@ -300,17 +301,24 @@ func (b *Node) Serve(s core.Server) error {
 	return nil
 }
 
-// Memory implements core.Backend.
+// Memory implements core.Node.
 func (b *Node) Memory() core.LocalMemory { return b.heaps[b.self] }
 
-// ChargeVector implements core.Backend; wall-clock nodes compute for real,
+// ChargeVector implements core.Node; wall-clock nodes compute for real,
 // so no simulated time is charged.
 func (b *Node) ChargeVector(flops, bytes int64, cores int) {}
 
-// ChargeScalar implements core.Backend.
+// ChargeScalar implements core.Node.
 func (b *Node) ChargeScalar(ops int64) {}
 
-// Close implements core.Backend.
+// Clock implements core.Initiator; loopback runs on the wall clock.
+func (b *Node) Clock() core.SimClock { return nil }
+
+// Close implements core.Initiator.
 func (b *Node) Close() error { return nil }
 
-var _ core.Backend = (*Node)(nil)
+// A loopback node plays either role.
+var (
+	_ core.Initiator = (*Node)(nil)
+	_ core.Target    = (*Node)(nil)
+)

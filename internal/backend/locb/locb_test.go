@@ -76,7 +76,7 @@ func TestConcurrentPutsAndOffloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "locb-t")
+	target := core.NewTarget(tb, "locb-t")
 	host := core.NewRuntime(hb, "locb-h")
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -192,13 +192,13 @@ func (h *Host) route(n core.NodeID) (int, core.NodeID, error) {
 	return 0, 0, fmt.Errorf("mpib: no node %d in this cluster", n)
 }
 
-// Self implements core.Backend.
+// Self implements core.Node.
 func (h *Host) Self() core.NodeID { return 0 }
 
-// NumNodes implements core.Backend.
+// NumNodes implements core.Node.
 func (h *Host) NumNodes() int { return len(h.descs) }
 
-// Descriptor implements core.Backend.
+// Descriptor implements core.Node.
 func (h *Host) Descriptor(n core.NodeID) core.NodeDescriptor {
 	if int(n) < 0 || int(n) >= len(h.descs) {
 		return core.NodeDescriptor{Name: "invalid"}
@@ -206,7 +206,7 @@ func (h *Host) Descriptor(n core.NodeID) core.NodeDescriptor {
 	return h.descs[n]
 }
 
-// Call implements core.Backend: local targets go straight to the DMA
+// Call implements core.Initiator: local targets go straight to the DMA
 // protocol; remote targets are forwarded over InfiniBand to the machine's
 // proxy rank.
 func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
@@ -246,7 +246,7 @@ func (h *Host) forward(m int, rq *request, bytes int64) error {
 	return nil
 }
 
-// Wait implements core.Backend.
+// Wait implements core.Initiator.
 func (h *Host) Wait(hh core.Handle) ([]byte, error) {
 	switch v := hh.(type) {
 	case *request:
@@ -258,7 +258,7 @@ func (h *Host) Wait(hh core.Handle) ([]byte, error) {
 	}
 }
 
-// Poll implements core.Backend.
+// Poll implements core.Initiator.
 func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
 	switch v := hh.(type) {
 	case *request:
@@ -273,7 +273,7 @@ func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
 	}
 }
 
-// Put implements core.Backend.
+// Put implements core.Initiator.
 func (h *Host) Put(target core.NodeID, data []byte, dstAddr uint64) error {
 	m, local, err := h.route(target)
 	if err != nil {
@@ -296,7 +296,7 @@ func (h *Host) Put(target core.NodeID, data []byte, dstAddr uint64) error {
 	return rq.err
 }
 
-// Get implements core.Backend.
+// Get implements core.Initiator.
 func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	m, local, err := h.route(target)
 	if err != nil {
@@ -323,38 +323,28 @@ func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	return nil
 }
 
-// Serve implements core.Backend; the initiator does not serve.
-func (h *Host) Serve(core.Server) error {
-	return fmt.Errorf("mpib: the host node does not serve active messages")
-}
-
-// Memory implements core.Backend.
+// Memory implements core.Node.
 func (h *Host) Memory() core.LocalMemory { return h.mem }
 
-// ChargeVector implements core.Backend.
+// ChargeVector implements core.Node.
 func (h *Host) ChargeVector(flops, bytes int64, cores int) {
 	h.p.Sleep(hostModel.VectorTime(flops, bytes, cores))
 }
 
-// ChargeScalar implements core.Backend.
+// ChargeScalar implements core.Node.
 func (h *Host) ChargeScalar(ops int64) {
 	h.p.Sleep(simtime.Duration(float64(ops) / 2.6e9 * float64(simtime.Second)))
 }
 
-// Backoff implements core's optional backoff surface: retry delays advance
-// the initiator's simulated clock.
-func (h *Host) Backoff(d simtime.Duration) { h.p.Sleep(d) }
-
-// MaxMessageLen implements core.MessageSizer. Local and proxied targets
+// MaxMessageLen implements core.Initiator. Local and proxied targets
 // both terminate in a DMA-protocol connection, so its slot limit governs
 // the whole cluster.
 func (h *Host) MaxMessageLen() int { return h.local.MaxMessageLen() }
 
-// SimNow exposes the initiator's simulated clock for deadline-driven batch
-// flushes (core's simClock surface).
-func (h *Host) SimNow() simtime.Time { return h.p.Now() }
+// Clock implements core.Initiator: the initiator's simulated clock.
+func (h *Host) Clock() core.SimClock { return h.p }
 
-// RecoverNode implements core.Recoverer for machine 0's VEs by delegating to
+// RecoverNode implements core.Initiator for machine 0's VEs by delegating to
 // the local DMA-protocol connection. Remote recovery would need a proxy-side
 // control message; until then it reports the limitation explicitly.
 func (h *Host) RecoverNode(n core.NodeID) error {
@@ -368,7 +358,7 @@ func (h *Host) RecoverNode(n core.NodeID) error {
 	return h.local.RecoverNode(local)
 }
 
-// Close implements core.Backend: shut the proxies down, then the local
+// Close implements core.Initiator: shut the proxies down, then the local
 // connection. Terminate messages for the targets themselves have already
 // flowed through the normal Call path during Runtime.Finalize.
 func (h *Host) Close() error {
@@ -392,7 +382,7 @@ func (h *Host) Close() error {
 	return firstErr
 }
 
-var _ core.Backend = (*Host)(nil)
+var _ core.Initiator = (*Host)(nil)
 
 // serve is the proxy rank's event loop: it forwards calls asynchronously
 // into its local DMA-protocol connection so kernels on different VEs of the

@@ -262,7 +262,7 @@ func (h *Host) stepErr(c *conn, target core.NodeID, err error) error {
 	return err
 }
 
-// Call implements core.Backend: post the message into the next slot of the
+// Call implements core.Initiator: post the message into the next slot of the
 // target's ring, draining the slot's previous offload first.
 func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	c, err := h.live(target)
@@ -351,7 +351,7 @@ func (h *Host) wait(hd *handle) ([]byte, error) {
 	return hd.resp, nil
 }
 
-// Wait implements core.Backend.
+// Wait implements core.Initiator.
 func (h *Host) Wait(hh core.Handle) ([]byte, error) {
 	hd, ok := hh.(*handle)
 	if !ok {
@@ -360,7 +360,7 @@ func (h *Host) Wait(hh core.Handle) ([]byte, error) {
 	return h.wait(hd)
 }
 
-// Poll implements core.Backend with one probe.
+// Poll implements core.Initiator with one probe.
 func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
 	hd, ok := hh.(*handle)
 	if !ok {
@@ -384,7 +384,7 @@ func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
 	return hd.resp, true, nil
 }
 
-// Put implements core.Backend through veo_write_mem — bulk data exchange
+// Put implements core.Initiator through veo_write_mem — bulk data exchange
 // stays on the VEO API in both protocols, as in the paper. The host-side
 // staging copy is an artifact of the Go API taking slices and is not
 // charged: on the real platform user data already lives in host memory.
@@ -404,7 +404,7 @@ func (h *Host) Put(target core.NodeID, data []byte, dstAddr uint64) error {
 	return h.stepErr(c, target, c.proc.WriteMem(h.p, dstAddr, uint64(stage), int64(len(data))))
 }
 
-// Get implements core.Backend through veo_read_mem.
+// Get implements core.Initiator through veo_read_mem.
 func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	c, err := h.live(target)
 	if err != nil {
@@ -421,13 +421,13 @@ func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	return c.card.Host.Mem.ReadAt(dst, stage)
 }
 
-// Self implements core.Backend.
+// Self implements core.Node.
 func (h *Host) Self() core.NodeID { return 0 }
 
-// NumNodes implements core.Backend.
+// NumNodes implements core.Node.
 func (h *Host) NumNodes() int { return len(h.conns) + 1 }
 
-// Descriptor implements core.Backend.
+// Descriptor implements core.Node.
 func (h *Host) Descriptor(n core.NodeID) core.NodeDescriptor {
 	if n == 0 {
 		return h.descs[0]
@@ -439,30 +439,21 @@ func (h *Host) Descriptor(n core.NodeID) core.NodeDescriptor {
 	return h.descs[i]
 }
 
-// Serve implements core.Backend; the host node does not serve messages.
-func (h *Host) Serve(core.Server) error {
-	return fmt.Errorf("%s: the host node does not serve active messages", h.prm.Name)
-}
-
-// Memory implements core.Backend.
+// Memory implements core.Node.
 func (h *Host) Memory() core.LocalMemory { return h.mem }
 
-// ChargeVector implements core.Backend: host-side kernel work advances the
+// ChargeVector implements core.Node: host-side kernel work advances the
 // host process's simulated clock with the host roofline model.
 func (h *Host) ChargeVector(flops, bytes int64, cores int) {
 	h.p.Sleep(hostModel.VectorTime(flops, bytes, cores))
 }
 
-// ChargeScalar implements core.Backend.
+// ChargeScalar implements core.Node.
 func (h *Host) ChargeScalar(ops int64) {
 	h.p.Sleep(simtime.Duration(float64(ops) / 2.6e9 * float64(simtime.Second)))
 }
 
-// Backoff implements core's optional backoff surface: retry delays advance
-// the host process's simulated clock.
-func (h *Host) Backoff(d simtime.Duration) { h.p.Sleep(d) }
-
-// MaxMessageLen implements core.MessageSizer: a wire message must fit one
+// MaxMessageLen implements core.Initiator: a wire message must fit one
 // message buffer and its length must be publishable in a slot flag word.
 func (h *Host) MaxMessageLen() int {
 	if h.prm.BufSize < MaxLen {
@@ -471,11 +462,10 @@ func (h *Host) MaxMessageLen() int {
 	return MaxLen
 }
 
-// SimNow exposes the initiator's simulated clock for deadline-driven batch
-// flushes (core's simClock surface).
-func (h *Host) SimNow() simtime.Time { return h.p.Now() }
+// Clock implements core.Initiator: the host process's simulated clock.
+func (h *Host) Clock() core.SimClock { return h.p }
 
-// RecoverNode implements core.Recoverer: it reaps the dead VE process,
+// RecoverNode implements core.Initiator: it reaps the dead VE process,
 // releases the old communication area, and re-runs the connect sequence —
 // fresh process, library load, connect kernel, ham_main. Outstanding
 // handles stay pinned to the dead conn and keep failing with
@@ -498,7 +488,7 @@ func (h *Host) RecoverNode(n core.NodeID) error {
 	return nil
 }
 
-// Close implements core.Backend: destroy the VE processes and release their
+// Close implements core.Initiator: destroy the VE processes and release their
 // communication areas.
 func (h *Host) Close() error {
 	var firstErr error
@@ -513,7 +503,4 @@ func (h *Host) Close() error {
 	return firstErr
 }
 
-var (
-	_ core.Backend   = (*Host)(nil)
-	_ core.Recoverer = (*Host)(nil)
-)
+var _ core.Initiator = (*Host)(nil)

@@ -54,7 +54,7 @@ func Main(ctx *veos.Ctx, name string, self, total, nbuf int, ep Endpoint) (uint6
 		kctx: ctx, name: name, self: core.NodeID(self), total: total, nbuf: nbuf, ep: ep,
 		heap: &adapter.VEHeap{VE: card.Mem}, nt: nt, names: namesFor(name),
 	}
-	rt := core.NewRuntime(t, VEArch)
+	rt := core.NewTarget(t, VEArch)
 	rt.SetTracer(nt)
 	rt.SetTelemetry(card.Timing.Telemetry, ctx.P)
 	if err := rt.Serve(); err != nil {
@@ -63,7 +63,7 @@ func Main(ctx *veos.Ctx, name string, self, total, nbuf int, ep Endpoint) (uint6
 	return 0, nil
 }
 
-// Serve implements core.Backend: the VE's message loop. It polls the next
+// Serve implements core.Target: the VE's message loop. It polls the next
 // receive flag, backing off while idle; on a hit it fetches and dispatches
 // the message and pushes the result, retrying only the push on transient
 // faults — the handler has already run exactly once.
@@ -145,13 +145,13 @@ func (t *Target) Serve(s core.Server) error {
 	return nil
 }
 
-// Self implements core.Backend.
+// Self implements core.Node.
 func (t *Target) Self() core.NodeID { return t.self }
 
-// NumNodes implements core.Backend.
+// NumNodes implements core.Node.
 func (t *Target) NumNodes() int { return t.total }
 
-// Descriptor implements core.Backend.
+// Descriptor implements core.Node.
 func (t *Target) Descriptor(n core.NodeID) core.NodeDescriptor {
 	if n == t.self {
 		return core.NodeDescriptor{
@@ -166,45 +166,17 @@ func (t *Target) Descriptor(n core.NodeID) core.NodeDescriptor {
 	return core.NodeDescriptor{Name: fmt.Sprintf("node%d", n)}
 }
 
-// Call implements core.Backend; both protocols are host-initiated only.
-func (t *Target) Call(core.NodeID, []byte) (core.Handle, error) {
-	return nil, fmt.Errorf("%s: targets cannot initiate offloads", t.name)
-}
-
-// Wait implements core.Backend.
-func (t *Target) Wait(core.Handle) ([]byte, error) {
-	return nil, fmt.Errorf("%s: targets cannot initiate offloads", t.name)
-}
-
-// Poll implements core.Backend.
-func (t *Target) Poll(core.Handle) ([]byte, bool, error) {
-	return nil, false, fmt.Errorf("%s: targets cannot initiate offloads", t.name)
-}
-
-// Put implements core.Backend.
-func (t *Target) Put(core.NodeID, []byte, uint64) error {
-	return fmt.Errorf("%s: targets cannot initiate transfers", t.name)
-}
-
-// Get implements core.Backend.
-func (t *Target) Get(core.NodeID, uint64, []byte) error {
-	return fmt.Errorf("%s: targets cannot initiate transfers", t.name)
-}
-
-// Memory implements core.Backend.
+// Memory implements core.Node.
 func (t *Target) Memory() core.LocalMemory { return t.heap }
 
-// ChargeVector implements core.Backend with the VE roofline model.
+// ChargeVector implements core.Node with the VE roofline model.
 func (t *Target) ChargeVector(flops, bytes int64, cores int) {
 	t.kctx.ChargeVector(flops, bytes, cores)
 }
 
-// ChargeScalar implements core.Backend.
+// ChargeScalar implements core.Node.
 func (t *Target) ChargeScalar(ops int64) {
 	t.kctx.ChargeScalar(ops)
 }
 
-// Close implements core.Backend.
-func (t *Target) Close() error { return nil }
-
-var _ core.Backend = (*Target)(nil)
+var _ core.Target = (*Target)(nil)

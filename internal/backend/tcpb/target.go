@@ -53,13 +53,13 @@ func Listen(addr string, self, total int, heapBytes int64) (*Target, error) {
 // Addr returns the listening address, for handing to Dial.
 func (t *Target) Addr() string { return t.ln.Addr().String() }
 
-// Self implements core.Backend.
+// Self implements core.Node.
 func (t *Target) Self() core.NodeID { return t.self }
 
-// NumNodes implements core.Backend.
+// NumNodes implements core.Node.
 func (t *Target) NumNodes() int { return t.total }
 
-// Descriptor implements core.Backend.
+// Descriptor implements core.Node.
 func (t *Target) Descriptor(n core.NodeID) core.NodeDescriptor {
 	if n == t.self {
 		return core.NodeDescriptor{
@@ -72,32 +72,7 @@ func (t *Target) Descriptor(n core.NodeID) core.NodeDescriptor {
 	return core.NodeDescriptor{Name: fmt.Sprintf("node%d", n)}
 }
 
-// Call implements core.Backend; targets do not initiate offloads over TCP.
-func (t *Target) Call(core.NodeID, []byte) (core.Handle, error) {
-	return nil, fmt.Errorf("tcpb: targets cannot initiate offloads")
-}
-
-// Wait implements core.Backend.
-func (t *Target) Wait(core.Handle) ([]byte, error) {
-	return nil, fmt.Errorf("tcpb: targets cannot initiate offloads")
-}
-
-// Poll implements core.Backend.
-func (t *Target) Poll(core.Handle) ([]byte, bool, error) {
-	return nil, false, fmt.Errorf("tcpb: targets cannot initiate offloads")
-}
-
-// Put implements core.Backend.
-func (t *Target) Put(core.NodeID, []byte, uint64) error {
-	return fmt.Errorf("tcpb: targets cannot initiate transfers")
-}
-
-// Get implements core.Backend.
-func (t *Target) Get(core.NodeID, uint64, []byte) error {
-	return fmt.Errorf("tcpb: targets cannot initiate transfers")
-}
-
-// Serve implements core.Backend: accept the host connection and process
+// Serve implements core.Target: accept the host connection and process
 // frames until a terminate message has been dispatched.
 func (t *Target) Serve(s core.Server) error {
 	conn, err := t.ln.Accept()
@@ -162,16 +137,16 @@ func (t *Target) Serve(s core.Server) error {
 	return nil
 }
 
-// Memory implements core.Backend.
+// Memory implements core.Node.
 func (t *Target) Memory() core.LocalMemory { return t.heap }
 
-// ChargeVector implements core.Backend.
+// ChargeVector implements core.Node.
 func (t *Target) ChargeVector(flops, bytes int64, cores int) {}
 
-// ChargeScalar implements core.Backend.
+// ChargeScalar implements core.Node.
 func (t *Target) ChargeScalar(ops int64) {}
 
-// Close implements core.Backend.
+// Close stops the target: it closes the host connection and the listener.
 func (t *Target) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -181,4 +156,4 @@ func (t *Target) Close() error {
 	return t.ln.Close()
 }
 
-var _ core.Backend = (*Target)(nil)
+var _ core.Target = (*Target)(nil)

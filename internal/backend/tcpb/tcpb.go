@@ -237,13 +237,13 @@ func (hc *hostConn) roundTrip(typ byte, addr uint64, payload []byte, wantTyp byt
 	return res.payload, nil
 }
 
-// Self implements core.Backend.
+// Self implements core.Node.
 func (h *Host) Self() core.NodeID { return 0 }
 
-// NumNodes implements core.Backend.
+// NumNodes implements core.Node.
 func (h *Host) NumNodes() int { return len(h.conns) + 1 }
 
-// Descriptor implements core.Backend.
+// Descriptor implements core.Node.
 func (h *Host) Descriptor(n core.NodeID) core.NodeDescriptor {
 	if int(n) < 0 || int(n) >= len(h.descs) {
 		return core.NodeDescriptor{Name: "invalid"}
@@ -259,7 +259,7 @@ func (h *Host) conn(target core.NodeID) (*hostConn, error) {
 	return h.conns[i], nil
 }
 
-// Call implements core.Backend.
+// Call implements core.Initiator.
 func (h *Host) Call(target core.NodeID, msg []byte) (core.Handle, error) {
 	hc, err := h.conn(target)
 	if err != nil {
@@ -306,11 +306,11 @@ func (h *Host) DropConn(target core.NodeID) error {
 	return hc.c.Close()
 }
 
-// MaxMessageLen implements core.MessageSizer: the frame header carries a
+// MaxMessageLen implements core.Initiator: the frame header carries a
 // u32 payload length; 1 GiB keeps well clear of it on every platform.
 func (h *Host) MaxMessageLen() int { return 1 << 30 }
 
-// Wait implements core.Backend.
+// Wait implements core.Initiator.
 func (h *Host) Wait(hh core.Handle) ([]byte, error) {
 	hd, ok := hh.(*handle)
 	if !ok {
@@ -324,7 +324,7 @@ func (h *Host) Wait(hh core.Handle) ([]byte, error) {
 	return res.payload, nil
 }
 
-// Poll implements core.Backend.
+// Poll implements core.Initiator.
 func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
 	hd, ok := hh.(*handle)
 	if !ok {
@@ -341,7 +341,7 @@ func (h *Host) Poll(hh core.Handle) ([]byte, bool, error) {
 	}
 }
 
-// Put implements core.Backend.
+// Put implements core.Initiator.
 func (h *Host) Put(target core.NodeID, data []byte, dstAddr uint64) error {
 	hc, err := h.conn(target)
 	if err != nil {
@@ -351,7 +351,7 @@ func (h *Host) Put(target core.NodeID, data []byte, dstAddr uint64) error {
 	return err
 }
 
-// Get implements core.Backend.
+// Get implements core.Initiator.
 func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	hc, err := h.conn(target)
 	if err != nil {
@@ -370,21 +370,25 @@ func (h *Host) Get(target core.NodeID, srcAddr uint64, dst []byte) error {
 	return nil
 }
 
-// Serve implements core.Backend; hosts do not serve in this backend.
-func (h *Host) Serve(core.Server) error {
-	return fmt.Errorf("tcpb: the host node does not serve active messages")
-}
-
-// Memory implements core.Backend.
+// Memory implements core.Node.
 func (h *Host) Memory() core.LocalMemory { return h.heap }
 
-// ChargeVector implements core.Backend; wall-clock nodes compute for real.
+// ChargeVector implements core.Node; wall-clock nodes compute for real.
 func (h *Host) ChargeVector(flops, bytes int64, cores int) {}
 
-// ChargeScalar implements core.Backend.
+// ChargeScalar implements core.Node.
 func (h *Host) ChargeScalar(ops int64) {}
 
-// Close implements core.Backend.
+// RecoverNode implements core.Initiator; this backend cannot redial, so a
+// failed node stays dead.
+func (h *Host) RecoverNode(n core.NodeID) error {
+	return fmt.Errorf("tcpb: node %d cannot be recovered", n)
+}
+
+// Clock implements core.Initiator; TCP runs on the wall clock.
+func (h *Host) Clock() core.SimClock { return nil }
+
+// Close implements core.Initiator.
 func (h *Host) Close() error {
 	h.closeAll()
 	return nil
@@ -396,4 +400,4 @@ func (h *Host) closeAll() {
 	}
 }
 
-var _ core.Backend = (*Host)(nil)
+var _ core.Initiator = (*Host)(nil)

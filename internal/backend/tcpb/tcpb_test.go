@@ -35,7 +35,7 @@ func tcpApp(t *testing.T) (*core.Runtime, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targetRT := core.NewRuntime(target, "tcp-target-arch")
+	targetRT := core.NewTarget(target, "tcp-target-arch")
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -155,6 +155,20 @@ func TestPingDescriptorOverTCP(t *testing.T) {
 	}
 }
 
+// TestRecoverNodeUnsupported pins that the TCP host refuses recovery (it
+// cannot redial) with its own error, and that the refusal leaves the live
+// connection usable.
+func TestRecoverNodeUnsupported(t *testing.T) {
+	rt, done := tcpApp(t)
+	defer done()
+	if err := rt.RecoverNode(1); err == nil || !strings.Contains(err.Error(), "tcpb: node 1 cannot be recovered") {
+		t.Errorf("RecoverNode = %v", err)
+	}
+	if _, err := core.Sync(rt, 1, tcpSquare.Bind(3)); err != nil {
+		t.Fatalf("offload after refused recovery: %v", err)
+	}
+}
+
 func TestListenValidation(t *testing.T) {
 	if _, err := tcpb.Listen("127.0.0.1:0", 0, 2, 1<<20); err == nil {
 		t.Error("rank 0 target accepted")
@@ -177,7 +191,7 @@ func BenchmarkTCPOffloadRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	targetRT := core.NewRuntime(target, "tcp-bench-target")
+	targetRT := core.NewTarget(target, "tcp-bench-target")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -207,7 +221,7 @@ func BenchmarkTCPPut1MiB(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	targetRT := core.NewRuntime(target, "tcp-bench-target2")
+	targetRT := core.NewTarget(target, "tcp-bench-target2")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

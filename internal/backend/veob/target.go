@@ -26,9 +26,11 @@ type targetState struct {
 	numNodes int
 }
 
-// states holds per-card target state. The simulation is single-threaded per
-// engine, so a plain map suffices.
-var states = map[*veos.Card]*targetState{}
+// states holds the target state of each VE process from ham_comm_init until
+// its ham_main returns. Keying by process keeps a dead process's exit from
+// touching the state of its recovered successor on the same card. The
+// simulation is single-threaded per engine, so a plain map suffices.
+var states = map[*veos.Process]*targetState{}
 
 func init() {
 	veos.RegisterLibrary(LibraryName, veos.Library{
@@ -49,17 +51,18 @@ func init() {
 				BufSize:      int(args[2]),
 				ResultInline: int(args[3]),
 			}, args[0])
-			states[card] = st
+			states[ctx.Context.Process()] = st
 			return 0, nil
 		},
 		// ham_main runs the HAM-Offload runtime's message-processing loop —
 		// the renamed main() of the target binary (§III-C).
 		"ham_main": func(ctx *veos.Ctx, args []uint64) (uint64, error) {
-			card := ctx.Context.Process().Card()
-			st, ok := states[card]
+			proc := ctx.Context.Process()
+			st, ok := states[proc]
 			if !ok {
-				return 1, fmt.Errorf("veob: ham_main before ham_comm_init on VE %d", card.ID)
+				return 1, fmt.Errorf("veob: ham_main before ham_comm_init on VE %d", proc.Card().ID)
 			}
+			defer delete(states, proc)
 			st.kctx = ctx
 			return slots.Main(ctx, "veob", st.selfNode, st.numNodes, st.lay.nbuf, st)
 		},

@@ -172,7 +172,8 @@ func TestOversizedMessageRejected(t *testing.T) {
 }
 
 func TestTargetCannotInitiate(t *testing.T) {
-	// The VEO protocol is strictly host-initiated.
+	// The VEO protocol is strictly host-initiated: the VE runs a serving
+	// runtime, whose offloads core refuses, naming the node.
 	probe := core.NewFunc0[string]("veob.reverse_probe",
 		func(c *core.Ctx) (string, error) {
 			_, err := c.Runtime().Backend().Call(0, []byte{0, 0, 0, 0})
@@ -187,7 +188,7 @@ func TestTargetCannotInitiate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(msg, "cannot initiate") {
+		if !strings.HasPrefix(msg, "core: node 1 ") {
 			t.Fatalf("target-side Call error = %q", msg)
 		}
 	})
@@ -218,7 +219,7 @@ func TestHostBackendSurface(t *testing.T) {
 		if d := b.Descriptor(99); d.Name != "invalid" {
 			t.Errorf("bad descriptor = %+v", d)
 		}
-		if err := b.Serve(nil); err == nil {
+		if err := rt.Serve(); err == nil {
 			t.Error("host Serve should fail")
 		}
 		if _, err := b.Call(5, nil); err == nil {
@@ -271,4 +272,23 @@ func TestWaitTimesOutThroughPollFaults(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	r.eng.Shutdown()
+}
+
+// TestTargetStateReleased pins that a VE process's target state lives only
+// while its ham_main runs: Finalize ends the serve loop and the entry goes,
+// so machines built one after another in a process do not accumulate.
+func TestTargetStateReleased(t *testing.T) {
+	before := veob.LiveTargets()
+	r := newRig(t, nil)
+	r.run(t, func(p *simtime.Proc, rt *core.Runtime) {
+		if _, err := core.Sync(rt, 1, vbEcho.Bind(1)); err != nil {
+			t.Fatal(err)
+		}
+		if n := veob.LiveTargets(); n != before+1 {
+			t.Errorf("serving: %d target states, want %d", n, before+1)
+		}
+	})
+	if n := veob.LiveTargets(); n != before {
+		t.Errorf("after Finalize: %d target states, want %d", n, before)
+	}
 }

@@ -20,9 +20,9 @@ import (
 var fnAllocInc = NewFunc1[int64]("test.allocinc",
 	func(_ *Ctx, v int64) (int64, error) { return v + 1, nil })
 
-// allocBackend is a synchronous in-process Backend stub: Call dispatches on
-// the target runtime immediately and Wait/Poll hand the response back. It
-// honours the Backend contract trivially — the message is fully consumed
+// allocBackend is a synchronous in-process Initiator stub: Call dispatches
+// on the target runtime immediately and Wait/Poll hand the response back.
+// It honours the Call contract trivially — the message is fully consumed
 // (dispatched) before Call returns — and adds no allocations of its own.
 type allocBackend struct {
 	target *Runtime
@@ -44,10 +44,12 @@ func (b *allocBackend) Wait(Handle) ([]byte, error)       { return b.resp, nil }
 func (b *allocBackend) Poll(Handle) ([]byte, bool, error) { return b.resp, true, nil }
 func (b *allocBackend) Put(NodeID, []byte, uint64) error  { return nil }
 func (b *allocBackend) Get(NodeID, uint64, []byte) error  { return nil }
-func (b *allocBackend) Serve(Server) error                { return nil }
 func (b *allocBackend) Memory() LocalMemory               { return nil }
 func (b *allocBackend) ChargeVector(int64, int64, int)    {}
 func (b *allocBackend) ChargeScalar(int64)                {}
+func (b *allocBackend) MaxMessageLen() int                { return 1 << 30 }
+func (b *allocBackend) RecoverNode(NodeID) error          { return nil }
+func (b *allocBackend) Clock() SimClock                   { return nil }
 func (b *allocBackend) Close() error                      { return nil }
 
 // TestDispatchZeroAlloc pins the un-armed target fast path — Dispatch of a

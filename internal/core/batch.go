@@ -137,21 +137,6 @@ func (rt *Runtime) SetBatching(p BatchPolicy) { rt.batch = p }
 // Batching returns the runtime's batching policy.
 func (rt *Runtime) Batching() BatchPolicy { return rt.batch }
 
-// MessageSizer is implemented by backends with a bounded wire-message size
-// (the slot protocols cap messages at min(BufSize, slots.MaxLen)); the
-// batcher uses it to split frames so batch-aware length accounting never
-// exceeds what a flag word can publish.
-type MessageSizer interface {
-	MaxMessageLen() int
-}
-
-// simClock is implemented by backends whose initiator runs on the DES
-// clock; the batcher reads it for MaxDelay-based flushes. Wall-clock
-// backends do not implement it and ignore the deadline.
-type simClock interface {
-	SimNow() simtime.Time
-}
-
 // settler is the type-erased face of *Future[T] a batch frame settles
 // results through.
 type settler interface {
@@ -221,10 +206,7 @@ func (b *Batcher) queue(node NodeID) *batchQueue {
 
 // frameCap returns the largest frame the policy and backend permit.
 func (b *Batcher) frameCap() int {
-	limit := int(^uint(0) >> 1) // effectively unbounded
-	if ms, ok := b.rt.backend.(MessageSizer); ok {
-		limit = ms.MaxMessageLen()
-	}
+	limit := b.rt.initiator.MaxMessageLen()
 	if mb := b.rt.batch.MaxBytes; mb > 0 && mb < limit {
 		limit = mb
 	}
@@ -265,8 +247,8 @@ func (b *Batcher) deadlineDue(q *batchQueue) bool {
 	if d <= 0 || !q.timed {
 		return false
 	}
-	clk, ok := b.rt.backend.(simClock)
-	return ok && clk.SimNow().Sub(q.firstAdd) >= d
+	clk := b.rt.initiator.Clock()
+	return clk != nil && clk.Now().Sub(q.firstAdd) >= d
 }
 
 // BatchAdd queues fn for node on b and returns its future. The frame ships
@@ -318,8 +300,8 @@ func BatchAdd[R any](b *Batcher, node NodeID, fn Functor[R]) *Future[R] {
 	f.btv = batchTicket{b: b, q: q}
 	f.bt = &f.btv
 	if !q.timed {
-		if clk, ok := rt.backend.(simClock); ok {
-			q.firstAdd, q.timed = clk.SimNow(), true
+		if clk := rt.initiator.Clock(); clk != nil {
+			q.firstAdd, q.timed = clk.Now(), true
 		}
 	}
 	q.putEntry(wire)
@@ -399,7 +381,7 @@ func (b *Batcher) flushQueue(q *batchQueue) {
 	bc.pds, q.pds = q.pds, bc.pds[:0]
 	bc.sinks, q.sinks = q.sinks, bc.sinks[:0]
 	rt.noteSent(q.node, len(frame))
-	h, err := rt.backend.Call(q.node, frame)
+	h, err := rt.initiator.Call(q.node, frame)
 	if err != nil && rt.canRetry(fpd, err) {
 		h, err = rt.resubmit(fpd)
 	}
@@ -476,7 +458,7 @@ func (bc *batchCall) resolve() {
 		return
 	}
 	for {
-		resp, err := bc.rt.backend.Wait(bc.h)
+		resp, err := bc.rt.initiator.Wait(bc.h)
 		if err == nil {
 			err = bc.deliver(resp)
 			if err == nil {
@@ -502,7 +484,7 @@ func (bc *batchCall) poll() {
 	if bc.done {
 		return
 	}
-	resp, done, err := bc.rt.backend.Poll(bc.h)
+	resp, done, err := bc.rt.initiator.Poll(bc.h)
 	if err == nil && !done {
 		return
 	}

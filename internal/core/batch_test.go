@@ -171,7 +171,9 @@ type simBackend struct {
 	now simtime.Time
 }
 
-func (s *simBackend) SimNow() simtime.Time { return s.now }
+func (s *simBackend) Clock() core.SimClock     { return s }
+func (s *simBackend) Now() simtime.Time        { return s.now }
+func (s *simBackend) Sleep(d simtime.Duration) { s.now = s.now.Add(d) }
 
 func TestBatchDeadlineFlush(t *testing.T) {
 	hb, tb, err := locb.NewPair(1 << 22)
@@ -179,7 +181,7 @@ func TestBatchDeadlineFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb := &simBackend{Node: hb}
-	target := core.NewRuntime(tb, "batch-deadline-target")
+	target := core.NewTarget(tb, "batch-deadline-target")
 	host := core.NewRuntime(sb, "batch-deadline-host")
 	serveDone := make(chan struct{})
 	go func() {

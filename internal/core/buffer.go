@@ -123,7 +123,7 @@ func Put[T Elem](rt *Runtime, src []T, dst BufferPtr[T]) error {
 	if err != nil {
 		return err
 	}
-	return rt.backend.Put(dst.Node, data, dst.Addr)
+	return rt.initiator.Put(dst.Node, data, dst.Addr)
 }
 
 // Get reads len(dst) elements from target memory at src (Table II's get).
@@ -135,7 +135,7 @@ func Get[T Elem](rt *Runtime, src BufferPtr[T], dst []T) error {
 		return nil
 	}
 	raw := make([]byte, int64(len(dst))*sizeOf[T]())
-	if err := rt.backend.Get(src.Node, src.Addr, raw); err != nil {
+	if err := rt.initiator.Get(src.Node, src.Addr, raw); err != nil {
 		return err
 	}
 	return bytesToElems(raw, dst)
@@ -169,8 +169,8 @@ func Copy[T Elem](rt *Runtime, src, dst BufferPtr[T], count int64) error {
 		return nil
 	}
 	staging := make([]byte, count*sizeOf[T]())
-	if err := rt.backend.Get(src.Node, src.Addr, staging); err != nil {
+	if err := rt.initiator.Get(src.Node, src.Addr, staging); err != nil {
 		return err
 	}
-	return rt.backend.Put(dst.Node, staging, dst.Addr)
+	return rt.initiator.Put(dst.Node, staging, dst.Addr)
 }

@@ -27,7 +27,7 @@ func init() {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		addr, err := rt.backend.Memory().Alloc(size)
+		addr, err := rt.node.Memory().Alloc(size)
 		if err != nil {
 			return fmt.Errorf("core: target allocate(%d): %w", size, err)
 		}
@@ -41,7 +41,7 @@ func init() {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		return rt.backend.Memory().Free(addr)
+		return rt.node.Memory().Free(addr)
 	})
 
 	ham.RegisterHandler(msgTerminate, func(env any, dec *ham.Decoder, enc *ham.Encoder) error {

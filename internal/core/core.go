@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"hamoffload/internal/ham"
+	"hamoffload/internal/simtime"
 	"hamoffload/internal/telemetry"
 	"hamoffload/internal/trace"
 )
@@ -45,18 +46,33 @@ type LocalMemory interface {
 	Write(addr uint64, data []byte) error
 }
 
-// Backend is the abstract communication layer of Fig. 1. One Backend value
-// serves one node: initiator-side methods are used where offloads originate,
-// Serve runs the message loop where they execute. The paper's two SX-Aurora
-// protocols (backend/veob, backend/dmab), the portable TCP/IP backend
-// (backend/tcpb) and the in-process loopback (backend/locb) all implement it.
-type Backend interface {
+// Node is what every communication backend of Fig. 1 provides for the node
+// it runs on, whichever role that node plays: identity, the application's
+// node table, local memory, and the node's notion of compute time.
+type Node interface {
 	// Self returns this node's id.
 	Self() NodeID
 	// NumNodes returns the number of nodes in the application.
 	NumNodes() int
 	// Descriptor describes a node.
 	Descriptor(n NodeID) NodeDescriptor
+
+	// Memory returns this node's local memory.
+	Memory() LocalMemory
+
+	// ChargeVector and ChargeScalar advance this node's notion of compute
+	// time for kernel work (roofline model on simulated VEs, no-ops on
+	// wall-clock nodes, where the Go computation itself takes the time).
+	ChargeVector(flops, bytes int64, cores int)
+	ChargeScalar(ops int64)
+}
+
+// Initiator is the backend of a node where offloads originate: the host
+// side of the paper's two SX-Aurora protocols (backend/veob, backend/dmab),
+// of the cluster backend (backend/mpib), of the portable TCP/IP backend
+// (backend/tcpb), and the in-process loopback (backend/locb).
+type Initiator interface {
+	Node
 
 	// Call posts an active message to the target node and returns a handle
 	// for result retrieval. msg may alias a runtime scratch buffer: the
@@ -78,24 +94,39 @@ type Backend interface {
 	// Get reads len(dst) bytes from target memory at srcAddr (Table II's get).
 	Get(target NodeID, srcAddr uint64, dst []byte) error
 
-	// Serve runs the target-side message loop: receive, dispatch, respond,
-	// until the server reports Done (a terminate message executed).
-	Serve(s Server) error
+	// MaxMessageLen is the largest wire message Call accepts; the batcher
+	// splits frames to fit it.
+	MaxMessageLen() int
+	// RecoverNode re-establishes the connection to a failed node (destroy
+	// the dead VE process, boot a fresh one, rerun protocol setup), or
+	// reports why this backend cannot.
+	RecoverNode(n NodeID) error
+	// Clock is the initiator's simulated clock, which paces retry backoff,
+	// hedge delays and batch deadlines; nil on wall-clock backends, which
+	// retry at once and ignore the deadlines.
+	Clock() SimClock
 
-	// Memory returns this node's local memory.
-	Memory() LocalMemory
-
-	// ChargeVector and ChargeScalar advance this node's notion of compute
-	// time for kernel work (roofline model on simulated VEs, no-ops on
-	// wall-clock nodes, where the Go computation itself takes the time).
-	ChargeVector(flops, bytes int64, cores int)
-	ChargeScalar(ops int64)
-
-	// Close releases backend resources on the initiator side.
+	// Close releases the backend's resources.
 	Close() error
 }
 
-// Server is what a Backend's Serve loop drives; the Runtime implements it.
+// Target is the backend of a node where offloads execute.
+type Target interface {
+	Node
+
+	// Serve runs the target-side message loop: receive, dispatch, respond,
+	// until the server reports Done (a terminate message executed).
+	Serve(s Server) error
+}
+
+// SimClock is a simulated clock an initiator runs on; *simtime.Proc
+// implements it.
+type SimClock interface {
+	Now() simtime.Time
+	Sleep(d simtime.Duration)
+}
+
+// Server is what a Target's Serve loop drives; the Runtime implements it.
 type Server interface {
 	// Dispatch executes one wire message and returns the wire response. The
 	// response may alias the server's scratch buffers and is only valid
@@ -113,9 +144,11 @@ type Server interface {
 
 // Runtime is one node's HAM-Offload runtime instance.
 type Runtime struct {
-	backend Backend
-	bin     *ham.Binary
-	tr      *trace.NodeTracer // nil disables lifecycle tracing
+	node      Node
+	initiator Initiator // noInitiator on a serving node
+	target    Target    // nil on an initiating node
+	bin       *ham.Binary
+	tr        *trace.NodeTracer // nil disables lifecycle tracing
 
 	terminated bool
 	offloads   int64 // initiated offloads, for stats
@@ -169,32 +202,43 @@ type Runtime struct {
 	freeBC       *batchCall
 }
 
-// NewRuntime creates the runtime for one node. arch labels this node's
-// "binary" for the heterogeneous address-translation tables; the host and
-// target of one application must use different arch strings to model the
-// differing code layouts, and all message/function registration must happen
-// before the first NewRuntime of the application.
-func NewRuntime(b Backend, arch string) *Runtime {
-	rt := &Runtime{backend: b, bin: ham.NewBinary(arch)}
+// NewRuntime creates the runtime of an initiating node, where offloads
+// originate. arch labels this node's "binary" for the heterogeneous
+// address-translation tables; the host and target of one application must
+// use different arch strings to model the differing code layouts, and all
+// message/function registration must happen before the first NewRuntime or
+// NewTarget of the application.
+func NewRuntime(b Initiator, arch string) *Runtime {
+	rt := &Runtime{node: b, initiator: b, bin: ham.NewBinary(arch)}
 	rt.ctx.rt = rt
 	return rt
 }
 
-// Backend returns the node's communication backend.
-func (rt *Runtime) Backend() Backend { return rt.backend }
+// NewTarget creates the runtime of a serving node, where offloads execute
+// (see NewRuntime for arch). Its Serve runs b's message loop; every
+// offload or transfer it would initiate fails with one error.
+func NewTarget(b Target, arch string) *Runtime {
+	rt := &Runtime{node: b, initiator: noInitiator{b}, target: b, bin: ham.NewBinary(arch)}
+	rt.ctx.rt = rt
+	return rt
+}
+
+// Backend returns the node's initiating backend; on a serving node its
+// operations fail.
+func (rt *Runtime) Backend() Initiator { return rt.initiator }
 
 // Binary returns the node's HAM binary (message table).
 func (rt *Runtime) Binary() *ham.Binary { return rt.bin }
 
 // ThisNode returns this process's address (Table II's this_node).
-func (rt *Runtime) ThisNode() NodeID { return rt.backend.Self() }
+func (rt *Runtime) ThisNode() NodeID { return rt.node.Self() }
 
 // NumNodes returns the process count (Table II's num_nodes).
-func (rt *Runtime) NumNodes() int { return rt.backend.NumNodes() }
+func (rt *Runtime) NumNodes() int { return rt.node.NumNodes() }
 
 // GetNodeDescriptor returns a node's descriptor (Table II).
 func (rt *Runtime) GetNodeDescriptor(n NodeID) NodeDescriptor {
-	return rt.backend.Descriptor(n)
+	return rt.node.Descriptor(n)
 }
 
 // SetTracer attaches a per-node trace handle. The runtime then records
@@ -287,10 +331,33 @@ func (rt *Runtime) dispatchRaw(msg []byte) []byte {
 func (rt *Runtime) Done() bool { return rt.terminated }
 
 // Serve runs this node's message-processing loop until terminated — the
-// body of ham_main on an offload target (§III-C).
+// body of ham_main on an offload target (§III-C). Only a runtime built by
+// NewTarget serves.
 func (rt *Runtime) Serve() error {
-	return rt.backend.Serve(rt)
+	if rt.target == nil {
+		return fmt.Errorf("core: node %d does not serve active messages", rt.ThisNode())
+	}
+	return rt.target.Serve(rt)
 }
+
+// noInitiator is the initiator of a serving node: every offload or
+// transfer fails with one error.
+type noInitiator struct{ Node }
+
+//hot:cold
+func (n noInitiator) err() error {
+	return fmt.Errorf("core: node %d cannot initiate offloads or transfers", n.Self())
+}
+
+func (n noInitiator) Call(NodeID, []byte) (Handle, error) { return nil, n.err() }
+func (n noInitiator) Wait(Handle) ([]byte, error)         { return nil, n.err() }
+func (n noInitiator) Poll(Handle) ([]byte, bool, error)   { return nil, false, n.err() }
+func (n noInitiator) Put(NodeID, []byte, uint64) error    { return n.err() }
+func (n noInitiator) Get(NodeID, uint64, []byte) error    { return n.err() }
+func (n noInitiator) MaxMessageLen() int                  { return 0 }
+func (n noInitiator) RecoverNode(NodeID) error            { return n.err() }
+func (n noInitiator) Clock() SimClock                     { return nil }
+func (n noInitiator) Close() error                        { return n.err() }
 
 // beginOffload opens the whole-lifecycle span for the next offload to node
 // and returns the closure that closes it when the offload settles. With a
@@ -365,7 +432,7 @@ func (rt *Runtime) callAsync(node NodeID, name string, payload func(*ham.Encoder
 	}
 	wire, _ = rt.flowSeal(wire, pd)
 	rt.noteSent(node, len(wire))
-	h, err := rt.backend.Call(node, wire)
+	h, err := rt.initiator.Call(node, wire)
 	if err != nil && rt.canRetry(pd, err) {
 		h, err = rt.resubmit(pd)
 	}
@@ -415,7 +482,7 @@ func (rt *Runtime) Finalize() error {
 			firstErr = fmt.Errorf("core: terminating node %d: %w", n, err)
 		}
 	}
-	if err := rt.backend.Close(); err != nil && firstErr == nil {
+	if err := rt.initiator.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

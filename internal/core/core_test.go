@@ -75,7 +75,7 @@ func app(t *testing.T) (*core.Runtime, func()) {
 	}
 	// Order matters, as with real heterogeneous binaries: register
 	// everything, then instantiate both binaries.
-	target := core.NewRuntime(tb, "loopback-target-arch")
+	target := core.NewTarget(tb, "loopback-target-arch")
 	host := core.NewRuntime(hb, "loopback-host-arch")
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -296,18 +296,55 @@ func TestBufferPtrOffset(t *testing.T) {
 	}
 }
 
+// TestRuntimeRoles pins the role split of NewRuntime and NewTarget: every
+// initiating operation on a serving runtime fails with core's one error
+// instead of panicking, and an initiating runtime does not serve.
+func TestRuntimeRoles(t *testing.T) {
+	hb, tb, err := locb.NewPair(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := core.NewTarget(tb, "roles-target-arch")
+	target.SetBatching(core.BatchPolicy{MaxMessages: 4})
+	buf := core.BufferPtr[int32]{Node: 0, Addr: 64, Count: 4}
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"Sync", func() error { _, err := core.Sync(target, 0, fnEcho.Bind("x")); return err }},
+		{"Async", func() error { _, err := core.Async(target, 0, fnEcho.Bind("x")).Get(); return err }},
+		{"BatchAdd", func() error {
+			b := core.NewBatcher(target)
+			f := core.BatchAdd(b, 0, fnEcho.Bind("x"))
+			b.Flush(0)
+			_, err := f.Get()
+			return err
+		}},
+		{"Put", func() error { return core.Put(target, []int32{1}, buf) }},
+		{"Get", func() error { return core.Get(target, buf, make([]int32, 1)) }},
+		{"RecoverNode", func() error { return target.RecoverNode(0) }},
+		{"Finalize", target.Finalize},
+	}
+	for _, op := range ops {
+		err := op.run()
+		if err == nil || !strings.Contains(err.Error(), "core: node 1 cannot initiate offloads or transfers") {
+			t.Errorf("%s on a serving runtime = %v", op.name, err)
+		}
+	}
+	host := core.NewRuntime(hb, "roles-host-arch")
+	if err := host.Serve(); err == nil || !strings.Contains(err.Error(), "core: node 0 does not serve active messages") {
+		t.Errorf("Serve on an initiating runtime = %v", err)
+	}
+}
+
 func TestCopyBetweenTargets(t *testing.T) {
 	nodes, err := locb.NewN(3, 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := make([]*core.Runtime, 3)
-	for i, n := range nodes {
-		arch := "multi-target-arch"
-		if i == 0 {
-			arch = "multi-host-arch"
-		}
-		rts[i] = core.NewRuntime(n, arch)
+	rts := []*core.Runtime{core.NewRuntime(nodes[0], "multi-host-arch")}
+	for _, n := range nodes[1:] {
+		rts = append(rts, core.NewTarget(n, "multi-target-arch"))
 	}
 	var wg sync.WaitGroup
 	for i := 1; i < 3; i++ {
@@ -478,7 +515,7 @@ func TestFingerprintDetectsProgramSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "skew-target")
+	target := core.NewTarget(tb, "skew-target")
 	// The extra name sorts after every other registered message (raw
 	// registration, to dodge the "fn:" prefix), so existing keys keep their
 	// values (terminate still works for cleanup) while the fingerprints must

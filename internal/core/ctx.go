@@ -23,12 +23,12 @@ func (c *Ctx) Node() NodeID { return c.rt.ThisNode() }
 // ChargeVector accounts roofline time for a vectorised kernel region on the
 // executing device (no-op on wall-clock nodes).
 func (c *Ctx) ChargeVector(flops, bytes int64, cores int) {
-	c.rt.backend.ChargeVector(flops, bytes, cores)
+	c.rt.node.ChargeVector(flops, bytes, cores)
 }
 
 // ChargeScalar accounts scalar-pipeline time (no-op on wall-clock nodes).
 func (c *Ctx) ChargeScalar(ops int64) {
-	c.rt.backend.ChargeScalar(ops)
+	c.rt.node.ChargeScalar(ops)
 }
 
 // checkLocal verifies that the buffer lives on the executing node.
@@ -50,7 +50,7 @@ func ReadLocal[T Elem](c *Ctx, b BufferPtr[T], off, count int64) ([]T, error) {
 		return nil, fmt.Errorf("core: local read [%d,+%d) outside buffer of %d elements", off, count, b.Count)
 	}
 	raw := make([]byte, count*sizeOf[T]())
-	if err := c.rt.backend.Memory().Read(b.Addr+uint64(off*sizeOf[T]()), raw); err != nil {
+	if err := c.rt.node.Memory().Read(b.Addr+uint64(off*sizeOf[T]()), raw); err != nil {
 		return nil, err
 	}
 	out := make([]T, count)
@@ -72,5 +72,5 @@ func WriteLocal[T Elem](c *Ctx, b BufferPtr[T], off int64, vals []T) error {
 	if err != nil {
 		return err
 	}
-	return c.rt.backend.Memory().Write(b.Addr+uint64(off*sizeOf[T]()), data)
+	return c.rt.node.Memory().Write(b.Addr+uint64(off*sizeOf[T]()), data)
 }

@@ -36,20 +36,6 @@ type FaultTolerance struct {
 
 func (ft FaultTolerance) enabled() bool { return ft.MaxRetries > 0 }
 
-// backoffSleeper is implemented by backends that can serve a retry delay
-// (the simulated backends sleep the initiating proc). Wall-clock backends
-// retry immediately.
-type backoffSleeper interface {
-	Backoff(d simtime.Duration)
-}
-
-// Recoverer is implemented by backends that can re-establish the
-// connection to a failed node (destroy the dead VE process, boot a fresh
-// one, rerun protocol setup).
-type Recoverer interface {
-	RecoverNode(n NodeID) error
-}
-
 // SetFaultTolerance installs the retry policy on the initiating runtime.
 // Call it before issuing offloads.
 func (rt *Runtime) SetFaultTolerance(ft FaultTolerance) { rt.ft = ft }
@@ -68,10 +54,7 @@ func (rt *Runtime) Timeouts() int64 { return rt.timeouts }
 // machine-level recovery hook: after it succeeds, new offloads to the node
 // are accepted again. Futures that failed with ErrNodeFailed stay failed.
 func (rt *Runtime) RecoverNode(n NodeID) error {
-	if r, ok := rt.backend.(Recoverer); ok {
-		return r.RecoverNode(n)
-	}
-	return fmt.Errorf("core: backend %T cannot recover nodes", rt.backend)
+	return rt.initiator.RecoverNode(n)
 }
 
 // pending is the retransmission state of one fault-tolerant offload: the
@@ -163,12 +146,12 @@ func (rt *Runtime) resubmit(pd *pending) (Handle, error) {
 			if rt.ft.Seed != 0 {
 				d += simtime.Duration(faults.Mix(rt.ft.Seed, pd.seq, uint64(pd.attempt)) % uint64(d/2+1))
 			}
-			if b, ok := rt.backend.(backoffSleeper); ok {
-				b.Backoff(d)
+			if clk := rt.initiator.Clock(); clk != nil {
+				clk.Sleep(d)
 			}
 		}
 		rt.noteSent(pd.node, len(pd.msg))
-		h, err := rt.backend.Call(pd.node, pd.msg)
+		h, err := rt.initiator.Call(pd.node, pd.msg)
 		if err == nil {
 			return h, nil
 		}
@@ -213,7 +196,7 @@ func (rt *Runtime) resolve(h Handle, pd *pending) ([]byte, error) {
 		return rt.resolveHedged(h, pd)
 	}
 	for {
-		resp, err := rt.backend.Wait(h)
+		resp, err := rt.initiator.Wait(h)
 		if err == nil {
 			resp, err = rt.openResponse(pd, resp)
 			if err == nil {
@@ -235,7 +218,7 @@ func (rt *Runtime) resolve(h Handle, pd *pending) ([]byte, error) {
 // returns the (possibly re-posted) handle and done=false while the offload
 // is still in flight.
 func (rt *Runtime) pollResolved(h Handle, pd *pending) (resp []byte, nh Handle, done bool, err error) {
-	resp, done, err = rt.backend.Poll(h)
+	resp, done, err = rt.initiator.Poll(h)
 	if err == nil && !done {
 		return nil, h, false, nil
 	}

@@ -114,7 +114,7 @@ func (rt *Runtime) HedgeWins() int64 { return rt.hedgeWins }
 func (rt *Runtime) BudgetDenied() int64 { return rt.budgetDenied }
 
 // SimNow returns this node's simulated clock: the telemetry clock when one
-// is attached, else the backend's, else 0 (wall-clock backends). Health
+// is attached, else the initiator's, else 0 (wall-clock backends). Health
 // trackers and schedulers use it to timestamp observations.
 func (rt *Runtime) SimNow() simtime.Time { return rt.telNow() }
 
@@ -218,7 +218,7 @@ func (rt *Runtime) issueHedge(pd *pending) Handle {
 		rt.tel.Event(pd.fid, now, int(rt.ThisNode()), telemetry.FlowRetry, "hedge")
 	}
 	rt.noteSent(node, len(pd.msg))
-	h, err := rt.backend.Call(node, pd.msg)
+	h, err := rt.initiator.Call(node, pd.msg)
 	if err != nil {
 		return nil
 	}
@@ -234,7 +234,7 @@ func (rt *Runtime) issueHedge(pd *pending) Handle {
 func (rt *Runtime) reapStrays() {
 	kept := rt.strays[:0]
 	for _, s := range rt.strays {
-		if _, done, err := rt.backend.Poll(s); !done && err == nil {
+		if _, done, err := rt.initiator.Poll(s); !done && err == nil {
 			kept = append(kept, s)
 		}
 	}
@@ -250,8 +250,7 @@ func (rt *Runtime) reapStrays() {
 //hot:cold
 func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
 	rt.reapStrays()
-	clk, hasClock := rt.backend.(simClock)
-	pacer, canPace := rt.backend.(backoffSleeper)
+	clk := rt.initiator.Clock()
 	// The delay measures in-flight time, so it counts from the moment the
 	// request was sealed — on protocols whose Call itself advances simulated
 	// time (veob's privileged-DMA writes) the primary may already be past the
@@ -265,7 +264,7 @@ func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
 	for {
 		// Without a simulated clock the delay is unmeasurable; hedge before
 		// the first poll so wall-clock behaviour is deterministic.
-		if !hedgeTried && alive[0] && (!hasClock || clk.SimNow().Sub(start) >= delay) {
+		if !hedgeTried && alive[0] && (clk == nil || clk.Now().Sub(start) >= delay) {
 			hedgeTried = true
 			if nh := rt.issueHedge(pd); nh != nil {
 				hs[1], alive[1] = nh, true
@@ -276,7 +275,7 @@ func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
 			if !alive[i] {
 				continue
 			}
-			resp, done, err := rt.backend.Poll(hs[i])
+			resp, done, err := rt.initiator.Poll(hs[i])
 			if !done && err == nil {
 				continue
 			}
@@ -311,13 +310,13 @@ func (rt *Runtime) resolveHedged(h Handle, pd *pending) ([]byte, error) {
 			}
 			hs[0], alive[0] = nh, true
 			hedgeTried = false
-			if hasClock {
-				start = clk.SimNow()
+			if clk != nil {
+				start = clk.Now()
 			}
 			continue
 		}
-		if !progressed && canPace {
-			pacer.Backoff(hedgePollQuantum)
+		if !progressed && clk != nil {
+			clk.Sleep(hedgePollQuantum)
 		}
 	}
 }

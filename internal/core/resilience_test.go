@@ -28,10 +28,10 @@ type resCall struct {
 	readyAt simtime.Time
 }
 
-// resBackend is a fail-slow Backend stub: node 0 is the initiator, nodes
-// 1..len(targets) dispatch on their own runtime after a per-node delay.
-// Backoff advances the simulated clock, which is how the resolveHedged
-// poll loop makes time pass.
+// resBackend is a fail-slow Initiator stub: node 0 is the initiator, nodes
+// 1..len(targets) dispatch on their own runtime after a per-node delay. It
+// is its own simulated clock: Sleep advances it, which is how the
+// resolveHedged poll loop makes time pass.
 type resBackend struct {
 	targets []*Runtime // index 0 unused (self)
 	delay   []simtime.Duration
@@ -86,11 +86,13 @@ func (b *resBackend) Wait(h Handle) ([]byte, error) {
 	return rc.resp, nil
 }
 
-func (b *resBackend) Backoff(d simtime.Duration)       { b.now = b.now.Add(d) }
-func (b *resBackend) SimNow() simtime.Time             { return b.now }
+func (b *resBackend) Sleep(d simtime.Duration)         { b.now = b.now.Add(d) }
+func (b *resBackend) Now() simtime.Time                { return b.now }
+func (b *resBackend) Clock() SimClock                  { return b }
+func (b *resBackend) MaxMessageLen() int               { return 1 << 30 }
+func (b *resBackend) RecoverNode(NodeID) error         { return nil }
 func (b *resBackend) Put(NodeID, []byte, uint64) error { return nil }
 func (b *resBackend) Get(NodeID, uint64, []byte) error { return nil }
-func (b *resBackend) Serve(Server) error               { return nil }
 func (b *resBackend) Memory() LocalMemory              { return nil }
 func (b *resBackend) ChargeVector(int64, int64, int)   {}
 func (b *resBackend) ChargeScalar(int64)               {}

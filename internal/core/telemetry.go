@@ -73,8 +73,8 @@ func (rt *Runtime) telNow() simtime.Time {
 	if rt.telClock != nil {
 		return rt.telClock.Now()
 	}
-	if c, ok := rt.backend.(simClock); ok {
-		return c.SimNow()
+	if c := rt.initiator.Clock(); c != nil {
+		return c.Now()
 	}
 	return 0
 }

@@ -18,13 +18,13 @@ import (
 
 // captureBackend records every host->target wire message before forwarding.
 type captureBackend struct {
-	core.Backend
+	core.Initiator
 	calls *[][]byte
 }
 
 func (c *captureBackend) Call(n core.NodeID, msg []byte) (core.Handle, error) {
 	*c.calls = append(*c.calls, append([]byte(nil), msg...))
-	return c.Backend.Call(n, msg)
+	return c.Initiator.Call(n, msg)
 }
 
 // runTelemetryWire runs a fixed workload — two sync offloads plus one
@@ -36,10 +36,10 @@ func runTelemetryWire(t *testing.T, col *telemetry.Collector) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "loopback-target-arch")
+	target := core.NewTarget(tb, "loopback-target-arch")
 	target.SetTelemetry(col, nil)
 	var calls [][]byte
-	host := core.NewRuntime(&captureBackend{Backend: hb, calls: &calls}, "loopback-host-arch")
+	host := core.NewRuntime(&captureBackend{Initiator: hb, calls: &calls}, "loopback-host-arch")
 	host.SetTelemetry(col, nil)
 	host.SetBatching(core.BatchPolicy{MaxMessages: 3})
 	var wg sync.WaitGroup

@@ -25,9 +25,9 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 //
 // EncodeRequest deliberately takes a fresh encoder per request rather than a
-// pooled one: the wire it produces is handed to Backend.Call, which may park
-// the proc before copying, so a shared scratch could be clobbered by another
-// host proc mid-call.
+// pooled one: the wire it produces is handed to Initiator.Call, which may
+// park the proc before copying, so a shared scratch could be clobbered by
+// another host proc mid-call.
 func NewEncoder() *Encoder { return &Encoder{} } //lint:allow hotalloc fresh buffer per request: Call may park before copying the wire
 
 // Bytes returns the encoded payload.

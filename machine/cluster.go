@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 
-	"hamoffload/internal/backend/dmab"
 	"hamoffload/internal/backend/mpib"
 	"hamoffload/internal/core"
 	"hamoffload/internal/ib"
@@ -91,24 +90,9 @@ func ConnectCluster(p *Proc, c *Cluster, opts ProtocolOptions) (*core.Runtime, e
 	for i, m := range c.Nodes {
 		cards[i] = opts.cards(m)
 	}
-	b, err := mpib.Connect(p, c.Eng, c.IB, cards, mpib.Options{
-		Local: dmab.Options{
-			NumBuffers:     opts.NumBuffers,
-			BufSize:        opts.BufSize,
-			ResultInline:   opts.ResultInline,
-			ResultViaDMA:   opts.ResultViaDMA,
-			OffloadTimeout: opts.OffloadTimeout,
-		},
-	})
+	b, err := mpib.Connect(p, c.Eng, c.IB, cards, mpib.Options{Local: opts.dmab()})
 	if err != nil {
 		return nil, err
 	}
-	rt := core.NewRuntime(b, "x86_64-vh-cluster")
-	rt.SetTracer(c.Nodes[0].Timing.Tracer.Node(0, "mpib", p))
-	rt.SetTelemetry(c.Nodes[0].Timing.Telemetry, p)
-	rt.SetFaultTolerance(opts.Retry)
-	rt.SetBatching(opts.Batch)
-	rt.SetHedging(opts.Hedge)
-	rt.SetRetryBudget(opts.RetryBudget)
-	return rt, nil
+	return opts.hostRuntime(p, c.Nodes[0], b, "x86_64-vh-cluster", "mpib"), nil
 }

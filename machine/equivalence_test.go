@@ -135,7 +135,7 @@ func oracle(t *testing.T, seed int64) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := offload.NewRuntime(tb, "equiv-oracle-target")
+	target := offload.NewTarget(tb, "equiv-oracle-target")
 	host := offload.NewRuntime(hb, "equiv-oracle-host")
 	var wg sync.WaitGroup
 	wg.Add(1)

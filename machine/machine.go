@@ -227,6 +227,31 @@ func (o ProtocolOptions) cards(m *Machine) []*veos.Card {
 	return m.Cards[:o.VEs]
 }
 
+// dmab maps the options onto the DMA protocol's, which the cluster
+// backend also runs to each machine's local VEs.
+func (o ProtocolOptions) dmab() dmab.Options {
+	return dmab.Options{
+		NumBuffers:     o.NumBuffers,
+		BufSize:        o.BufSize,
+		ResultInline:   o.ResultInline,
+		ResultViaDMA:   o.ResultViaDMA,
+		OffloadTimeout: o.OffloadTimeout,
+	}
+}
+
+// hostRuntime builds the host's runtime over b, traced on m's lane name,
+// and arms it with the options' runtime policies.
+func (o ProtocolOptions) hostRuntime(p *Proc, m *Machine, b core.Initiator, arch, lane string) *core.Runtime {
+	rt := core.NewRuntime(b, arch)
+	rt.SetTracer(m.Timing.Tracer.Node(0, lane, p))
+	rt.SetTelemetry(m.Timing.Telemetry, p)
+	rt.SetFaultTolerance(o.Retry)
+	rt.SetBatching(o.Batch)
+	rt.SetHedging(o.Hedge)
+	rt.SetRetryBudget(o.RetryBudget)
+	return rt
+}
+
 // ConnectVEO sets up HAM-Offload over the paper's VEO protocol (§III-D):
 // communication buffers in VE memory, all transfers through privileged DMA.
 // It returns the host runtime; targets are nodes 1..VEs.
@@ -240,36 +265,16 @@ func ConnectVEO(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error
 	if err != nil {
 		return nil, err
 	}
-	rt := core.NewRuntime(b, "x86_64-vh")
-	rt.SetTracer(m.Timing.Tracer.Node(0, "veob", p))
-	rt.SetTelemetry(m.Timing.Telemetry, p)
-	rt.SetFaultTolerance(opts.Retry)
-	rt.SetBatching(opts.Batch)
-	rt.SetHedging(opts.Hedge)
-	rt.SetRetryBudget(opts.RetryBudget)
-	return rt, nil
+	return opts.hostRuntime(p, m, b, "x86_64-vh", "veob"), nil
 }
 
 // ConnectDMA sets up HAM-Offload over the paper's DMA protocol (§IV-B):
 // communication buffers in a VH shared-memory segment, VE-initiated LHM
 // polls, user-DMA message fetches and SHM result stores.
 func ConnectDMA(p *Proc, m *Machine, opts ProtocolOptions) (*core.Runtime, error) {
-	b, err := dmab.Connect(p, opts.cards(m), dmab.Options{
-		NumBuffers:     opts.NumBuffers,
-		BufSize:        opts.BufSize,
-		ResultInline:   opts.ResultInline,
-		ResultViaDMA:   opts.ResultViaDMA,
-		OffloadTimeout: opts.OffloadTimeout,
-	})
+	b, err := dmab.Connect(p, opts.cards(m), opts.dmab())
 	if err != nil {
 		return nil, err
 	}
-	rt := core.NewRuntime(b, "x86_64-vh")
-	rt.SetTracer(m.Timing.Tracer.Node(0, "dmab", p))
-	rt.SetTelemetry(m.Timing.Telemetry, p)
-	rt.SetFaultTolerance(opts.Retry)
-	rt.SetBatching(opts.Batch)
-	rt.SetHedging(opts.Hedge)
-	rt.SetRetryBudget(opts.RetryBudget)
-	return rt, nil
+	return opts.hostRuntime(p, m, b, "x86_64-vh", "dmab"), nil
 }

@@ -81,7 +81,7 @@ func startApp() (*offload.Runtime, func()) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	target := offload.NewRuntime(targetB, "example-target")
+	target := offload.NewTarget(targetB, "example-target")
 	host := offload.NewRuntime(hostB, "example-host")
 	done := make(chan struct{})
 	go func() {

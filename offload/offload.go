@@ -52,8 +52,12 @@ type (
 	NodeDescriptor = core.NodeDescriptor
 	// Runtime is one node's HAM-Offload runtime.
 	Runtime = core.Runtime
-	// Backend is the abstract communication layer of Fig. 1.
-	Backend = core.Backend
+	// Initiator and Target are the two roles of a Fig. 1 communication
+	// backend: where offloads originate and where they execute. Node is
+	// what both provide.
+	Node      = core.Node
+	Initiator = core.Initiator
+	Target    = core.Target
 	// LocalMemory is a node's local memory used by allocate/free handlers.
 	LocalMemory = core.LocalMemory
 	// Ctx is the execution context of an offloaded function on its target.
@@ -131,10 +135,13 @@ type (
 	Func4[R, A1, A2, A3, A4 any] = core.Func4[R, A1, A2, A3, A4]
 )
 
-// NewRuntime creates the runtime for one node over a backend. arch labels
-// this node's binary for HAM's handler-key translation; the two sides of an
-// application must use different arch strings.
-func NewRuntime(b Backend, arch string) *Runtime { return core.NewRuntime(b, arch) }
+// NewRuntime creates the runtime of an initiating node over a backend. arch
+// labels this node's binary for HAM's handler-key translation; the two
+// sides of an application must use different arch strings.
+func NewRuntime(b Initiator, arch string) *Runtime { return core.NewRuntime(b, arch) }
+
+// NewTarget creates the runtime of a serving node; see NewRuntime.
+func NewTarget(b Target, arch string) *Runtime { return core.NewTarget(b, arch) }
 
 // NewFunc0 registers an offloadable function with no arguments. Register
 // before creating any Runtime, typically from init functions.

@@ -55,9 +55,9 @@ func TestPublicSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := make([]*offload.Runtime, 3)
-	for i, n := range nodes {
-		rts[i] = offload.NewRuntime(n, "surface-arch")
+	rts := []*offload.Runtime{offload.NewRuntime(nodes[0], "surface-arch")}
+	for _, n := range nodes[1:] {
+		rts = append(rts, offload.NewTarget(n, "surface-arch"))
 	}
 	done := make(chan struct{}, 2)
 	for i := 1; i < 3; i++ {

@@ -67,7 +67,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewRuntime(tb, "sched-target")
+	target := core.NewTarget(tb, "sched-target")
 	host := core.NewRuntime(hb, "sched-host")
 	var wg sync.WaitGroup
 	wg.Add(1)
